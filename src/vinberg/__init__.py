@@ -40,7 +40,6 @@ from .hilbert import (
     finsler_norm,
     hilbert_distance,
     join_divergence_probe,
-    klein_chart,
     monotonicity_probe,
     volume_sequence,
     witness_chart,

@@ -16,19 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import ratlin
 from .scalars import (
-    APPROX,
     DEFAULT_EPS,
-    EXACT,
     INFINITY,
+    Field,
     InputError,
     RATIONAL_COS_PRODUCTS,
-    all_exact,
-    is_exact,
+    coerce,
     parse_scalar,
-    sign_of,
 )
 
 POSITIVE = "positive"
@@ -55,6 +53,10 @@ class CartanMatrix:
     mode: str
     eps: float
     labels: tuple
+
+    @cached_property
+    def field(self):
+        return Field(self.mode, self.eps)
 
     @property
     def n(self):
@@ -97,15 +99,19 @@ class WitnessVector:
     margin: float
 
 
-def _pair_order(product, mode, eps):
-    """Coxeter order m_st from the off-diagonal product, or None if invalid."""
-    if mode == EXACT:
+def _pair_order(product, field):
+    """Coxeter order m_st from the off-diagonal product, or None if invalid.
+
+    Exact products are looked up among the rational values of 4cos^2(pi/k);
+    float products are inverted through acos within eps."""
+    if field.exact:
         if product >= 4:
             return INFINITY
         if product in RATIONAL_COS_PRODUCTS:
             return RATIONAL_COS_PRODUCTS[product]
         return None
     p = float(product)
+    eps = field.eps
     if p >= 4.0 - eps:
         return INFINITY
     if abs(p) <= eps:
@@ -128,31 +134,17 @@ def validate_cartan(rows, labels=None, mode=None, eps=DEFAULT_EPS):
     for i, row in enumerate(rows):
         if len(row) != n:
             raise InputError(f"matrix is not square: row {i} has length {len(row)}")
-    rows = [[parse_scalar(x) for x in row] for row in rows]
+    field, rows = coerce([[parse_scalar(x) for x in row] for row in rows], mode, eps)
+    entries = tuple(tuple(row) for row in rows)
 
-    exact_entries = all_exact(rows)
-    if mode is None:
-        mode = EXACT if exact_entries else APPROX
-    elif mode == EXACT and not exact_entries:
-        raise InputError("exact mode requested but the matrix has irrational entries")
-    if mode not in (EXACT, APPROX):
-        raise InputError(f"unknown mode {mode!r}")
-
-    if mode == EXACT:
-        entries = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    else:
-        entries = tuple(tuple(float(x) for x in row) for row in rows)
-
-    tol = 0.0 if mode == EXACT else eps
     orders = [[1] * n for _ in range(n)]
     for s in range(n):
-        two = entries[s][s] - 2
-        if sign_of(two, tol) != 0:
+        if field.sign(entries[s][s] - 2) != 0:
             violations.append(("diagonal", (s, s), f"A_ss = {entries[s][s]}"))
     for s in range(n):
         for t in range(s + 1, n):
             a, b = entries[s][t], entries[t][s]
-            sa, sb = sign_of(a, tol), sign_of(b, tol)
+            sa, sb = field.sign(a), field.sign(b)
             if sa > 0 or sb > 0:
                 violations.append(("nonpositive", (s, t), f"({a}, {b})"))
                 continue
@@ -162,7 +154,7 @@ def validate_cartan(rows, labels=None, mode=None, eps=DEFAULT_EPS):
             if sa == 0:
                 orders[s][t] = orders[t][s] = 2
                 continue
-            m = _pair_order(a * b, mode, eps)
+            m = _pair_order(a * b, field)
             if m is None:
                 violations.append(
                     ("product", (s, t), f"A_st*A_ts = {a * b} is not 4cos^2(pi/k) or >= 4")
@@ -177,7 +169,7 @@ def validate_cartan(rows, labels=None, mode=None, eps=DEFAULT_EPS):
         labels = tuple(str(x) for x in labels)
         if len(labels) != n:
             raise InputError("labels length does not match matrix size")
-    return CartanMatrix(entries, tuple(tuple(r) for r in orders), mode, eps, labels)
+    return CartanMatrix(entries, tuple(tuple(r) for r in orders), field.mode, eps, labels)
 
 
 def irreducible_components(A):
@@ -195,7 +187,7 @@ def irreducible_components(A):
             s = stack.pop()
             comp.append(s)
             for t in range(n):
-                if not seen[t] and t != s and sign_of(A.entry(s, t), A.eps if A.mode == APPROX else 0.0) != 0:
+                if not seen[t] and t != s and A.field.sign(A.entry(s, t)) != 0:
                     seen[t] = True
                     stack.append(t)
         comps.append(tuple(sorted(comp)))
@@ -263,7 +255,7 @@ def classify_type(A):
     for comp in irreducible_components(A):
         rows = [[A.entries[s][t] for t in comp] for s in comp]
         lam, _ = _power_lambda(rows, A.eps)
-        if A.mode == EXACT:
+        if A.field.exact:
             tag = _classify_block_exact(rows)
             margin = abs(lam)
         else:
@@ -344,44 +336,27 @@ def witness_vector(A, tag=None):
     n = A.n
     if n == 0:
         return WitnessVector((), (), tt.overall, math.inf)
+    field = A.field
     x = [None] * n
-    if A.mode == EXACT:
-        for block in tt.blocks:
-            rows = [[A.entries[s][t] for t in block.indices] for s in block.indices]
+    for block in tt.blocks:
+        rows = [[A.entries[s][t] for t in block.indices] for s in block.indices]
+        if field.exact:
             bx = _exact_block_witness(rows, block.tag)
-            for idx, val in zip(block.indices, bx):
-                x[idx] = val
-    else:
-        for block in tt.blocks:
-            rows = [[A.entries[s][t] for t in block.indices] for s in block.indices]
-            _, v = _power_lambda(rows, A.eps)
-            for idx, val in zip(block.indices, v):
-                x[idx] = val
-    image = [sum(A.entries[s][t] * x[t] for t in range(n)) for s in range(n)]
+        else:
+            _, bx = _power_lambda(rows, A.eps)
+        for idx, val in zip(block.indices, bx):
+            x[idx] = val
+    image = ratlin.mat_vec(A.entries, x)
     want = {POSITIVE: 1, ZERO: 0, NEGATIVE: -1}[tt.overall]
-    tol = 0.0 if A.mode == EXACT else A.eps
     for s in range(n):
-        if sign_of(image[s], tol) != want:
+        if field.sign(image[s]) != want:
             raise ArithmeticError(
                 f"witness image sign mismatch at index {s}: {image[s]}"
             )
     if tt.overall == ZERO:
-        margin = math.inf if A.mode == EXACT else min(A.eps - abs(float(v)) for v in image)
+        # an exact zero image is a proof; a float one is only eps-close
+        margin = math.inf if field.exact else min(A.eps - abs(float(v)) for v in image)
     else:
         margin = min(abs(float(v)) for v in image)
     return WitnessVector(tuple(x), tuple(image), tt.overall, margin)
 
-
-def split_by_type(A):
-    """Group irreducible components by type and restrict to each group.
-
-    Returns {tag: (indices, CartanMatrix)} with only the tags present.
-    """
-    tt = classify_type(A)
-    groups = {}
-    for block in tt.blocks:
-        groups.setdefault(block.tag, []).extend(block.indices)
-    return {
-        tag: (tuple(sorted(idx)), restrict(A, sorted(idx)))
-        for tag, idx in groups.items()
-    }

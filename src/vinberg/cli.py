@@ -10,7 +10,7 @@ deterministic for the same reason.
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 from dataclasses import asdict
 
@@ -27,7 +27,7 @@ from .hilbert import GeometryError, volume_sequence, witness_chart
 from .limits import hull_of_limit_set, sample_limit_set
 from .orbits import domain_approx, representation_report
 from .polytope import PolytopeError, classify_face, enumerate_faces
-from .scalars import APPROX, EXACT, InputError
+from .scalars import APPROX, EXACT, InputError, default_mode
 from .svg import conic_loop, render_points_svg, render_tiling_svg
 
 EXIT_YES = 0
@@ -48,13 +48,18 @@ def _tag_report(tag):
     }
 
 
+def _at_least(value, low, flag):
+    if value < low:
+        raise InputError("%s must be at least %d, got %d" % (flag, low, value))
+    return value
+
+
 def _load(args):
+    if not (math.isfinite(args.eps) and args.eps >= 0):
+        raise InputError("--eps must be a finite nonnegative number, got %r" % args.eps)
     with open(args.file, "r", encoding="utf-8") as fh:
         doc = parse(fh.read())
-    mode = args.mode or os.environ.get("VINBERG_MODE") or None
-    if mode is not None and mode not in (EXACT, APPROX):
-        raise InputError("mode must be %r or %r, got %r" % (EXACT, APPROX, mode))
-    return build(doc, mode=mode, eps=args.eps)
+    return build(doc, mode=args.mode or default_mode(), eps=args.eps)
 
 
 def _emit(report, out_path=None):
@@ -152,11 +157,13 @@ def _cmd_decide(args):
 
 
 def _cmd_volume(args):
+    depth = _at_least(args.depth, 1, "--depth")
+    samples = _at_least(args.samples, 1, "--samples")
     P = _load(args)
     seq = volume_sequence(
         P,
-        depths=tuple(range(1, args.depth + 1)),
-        samples=args.samples,
+        depths=tuple(range(1, depth + 1)),
+        samples=samples,
         seed=args.seed,
         side=args.side,
     )
@@ -181,10 +188,11 @@ def _cmd_volume(args):
 
 
 def _cmd_tile(args):
+    depth = _at_least(args.depth, 0, "--depth")
     P = _load(args)
     if P.dim != 2:
         raise InputError("tiling pictures are drawn for 2-dimensional polytopes only")
-    dom = domain_approx(P, args.depth)
+    dom = domain_approx(P, depth)
     chart = witness_chart(P)
     conic = conic_loop(P, chart)
     text = render_tiling_svg(dom, chart, conic_points=conic)
@@ -194,10 +202,10 @@ def _cmd_tile(args):
 
 
 def _cmd_limit_set(args):
+    count = _at_least(args.count, 1, "--count")
+    words = _at_least(args.words, 2, "--words")  # no single reflection is proximal
     P = _load(args)
-    sample = sample_limit_set(
-        P, word_length=args.words, count=args.count, seed=args.seed
-    )
+    sample = sample_limit_set(P, word_length=words, count=count, seed=args.seed)
     for note in sample.warnings:
         sys.stderr.write(note + "\n")
     chart = witness_chart(P)

@@ -19,10 +19,9 @@ from .cartan import (
     POSITIVE,
     ZERO,
     classify_type,
-    irreducible_components,
     validate_cartan,
 )
-from .scalars import APPROX, DEFAULT_EPS, EXACT, INFINITY, InputError
+from .scalars import DEFAULT_EPS, INFINITY, InputError
 
 SPHERICAL = "spherical"
 AFFINE = "affine"
@@ -97,19 +96,12 @@ def gram_matrix(M: CoxeterMatrix, eps=DEFAULT_EPS) -> CartanMatrix:
     result drops to approx mode.
     """
     exact = all(m in _RATIONAL_GRAM for row in M.orders for m in row)
-    rows = []
-    for s in range(M.n):
-        row = []
-        for t in range(M.n):
-            m = M.orders[s][t]
-            if exact:
-                row.append(_RATIONAL_GRAM[m])
-            elif m == INFINITY:
-                row.append(-2.0)
-            else:
-                row.append(-2.0 * math.cos(math.pi / m))
-        rows.append(row)
-    return validate_cartan(rows, labels=M.labels, mode=EXACT if exact else APPROX, eps=eps)
+    # the float recipe gives -2.0 exactly at m = inf, where pi / m = 0
+    rows = [
+        [_RATIONAL_GRAM[m] if exact else -2.0 * math.cos(math.pi / m) for m in row]
+        for row in M.orders
+    ]
+    return validate_cartan(rows, labels=M.labels, eps=eps)
 
 
 def classify_group(M: CoxeterMatrix, eps=DEFAULT_EPS) -> GroupClass:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import NEGATIVE, classify_type, irreducible_components, restrict
+from .cartan import NEGATIVE, classify_type, irreducible_components
 from .coxeter import LARGE, classify_group, coxeter_from_cartan
 from .polytope import (
     CoxeterPolytope,
-    _rank,
     classify_face,
     decompose,
     enumerate_faces,
@@ -132,7 +131,7 @@ def decide_unique_domain(P: CoxeterPolytope) -> Verdict:
     }
     if answer:
         components = irreducible_components(P.cartan)
-        rank = _rank(P.cartan.entries, P.mode, P.eps)
+        rank = P.field.rank(P.cartan.entries)
         if len(components) != 1 or rank != P.dim + 1:
             raise RouteDisagreement(
                 "a unique-domain Yes forces an irreducible full-rank system, "

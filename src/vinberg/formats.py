@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import CartanMatrix, validate_cartan
+from .cartan import validate_cartan
 from .coxeter import coxeter_matrix, gram_matrix
 from .polytope import build_polytope, tits_polytope
 from .scalars import APPROX, EXACT, INFINITY, InputError, parse_scalar

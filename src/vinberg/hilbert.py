@@ -5,9 +5,9 @@ a properly convex domain becomes a bounded open convex body, chords of the
 body give the Hilbert distance via the cross-ratio, and the Busemann volume
 integrates the reciprocal Lebesgue measure of the Finsler unit balls.
 
-Bodies come in two boundary representations — halfspace lists (polytopes,
-orbit hulls, outer cut systems) and quadrics (invariant-form conics) — plus
-intersections of those.  Everything is vectorized over sample points.
+Bodies come in two boundary representations: halfspace lists (polytopes,
+orbit hulls, outer cut systems) and quadrics (invariant-form conics).
+Everything is vectorized over sample points.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbits import DomainApprox, domain_approx, invariant_form, form_signature, supporting_covector
+from .orbits import DomainApprox, domain_approx, invariant_form, supporting_covector
 from .polytope import CoxeterPolytope, enumerate_faces
 from .scalars import InputError
 
@@ -85,41 +85,6 @@ def _chart_from(ell, interior):
     _, _, vh = np.linalg.svd(ell[None, :])
     basis = vh[1:].T
     return Chart(ell, origin, basis)
-
-
-def klein_chart(P: CoxeterPolytope, G=None) -> Chart:
-    """Chart adapted to a Lorentzian invariant form: the conic becomes the
-    unit sphere and the interior point the origin."""
-    if G is None:
-        G = invariant_form(P)
-    if G is None:
-        raise GeometryError("no invariant form; use witness_chart instead")
-    d = P.dim
-    sig = form_signature(G, eps=P.eps)
-    if sig[:2] != (d, 1):
-        raise GeometryError(f"invariant form has signature {sig}, not ({d}, 1)")
-    Gf = np.asarray([[float(x) for x in row] for row in G])
-    x0 = np.asarray([float(x) for x in P.interior])
-    q0 = float(x0 @ Gf @ x0)
-    if q0 >= 0:
-        raise GeometryError("interior point is not timelike for the form")
-    x0 = x0 / math.sqrt(-q0)
-    ell = Gf @ x0  # ell(x0) = -1
-    # G-orthonormal basis of the spacelike complement of x0
-    cand = np.eye(d + 1)
-    basis = []
-    for v in cand:
-        w = v + (v @ Gf @ x0) * x0  # project G-orthogonally to x0
-        for u in basis:
-            w = w - (w @ Gf @ u) * u
-        norm2 = float(w @ Gf @ w)
-        if norm2 > 1e-12:
-            basis.append(w / math.sqrt(norm2))
-        if len(basis) == d:
-            break
-    if len(basis) != d:
-        raise GeometryError("failed to orthonormalize the spacelike complement")
-    return Chart(ell, x0, np.stack(basis, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -207,41 +172,6 @@ class QuadricBody:
         inv = np.linalg.inv(self.Q2)
         ext = np.sqrt(np.maximum(level * np.diag(inv), 0.0))
         return center - ext, center + ext
-
-
-class IntersectionBody:
-    def __init__(self, parts):
-        self.parts = list(parts)
-
-    @property
-    def dim(self):
-        return self.parts[0].dim
-
-    def contains(self, U, tol=1e-12):
-        mask = self.parts[0].contains(U, tol)
-        for p in self.parts[1:]:
-            mask = mask & p.contains(U, tol)
-        return mask
-
-    def hits(self, U, E):
-        tp, tm = self.parts[0].hits(U, E)
-        for p in self.parts[1:]:
-            tp2, tm2 = p.hits(U, E)
-            tp = np.minimum(tp, tp2)
-            tm = np.maximum(tm, tm2)
-        return tp, tm
-
-    def bbox(self):
-        los, his = zip(*(p.bbox() for p in self.parts if _has_bbox(p)))
-        return np.max(los, axis=0), np.min(his, axis=0)
-
-
-def _has_bbox(p):
-    try:
-        p.bbox()
-        return True
-    except GeometryError:
-        return False
 
 
 def unit_disk(d=2):

@@ -18,15 +18,15 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from . import ratlin
 from .cartan import NEGATIVE, classify_type, irreducible_components
 from .hilbert import GeometryError, HalfspaceBody, polygon_body, _hull_2d
 from .orbits import generators, supporting_covector
-from .polytope import CoxeterPolytope, _kernel, _rank, enumerate_faces
-from .scalars import EXACT, InputError, to_float
+from .polytope import CoxeterPolytope, enumerate_faces
+from .scalars import InputError, to_float
 
 EPS_GAP = 1e-6
 
@@ -162,7 +162,7 @@ def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0,
         [[to_float(x) for x in v] for v in P.polars], dtype=float
     ).T
     u_basis, _, _ = np.linalg.svd(polar_mat, full_matrices=False)
-    r = _rank(P.polars, P.mode, P.eps)
+    r = P.field.rank(P.polars)
     u_basis = u_basis[:, :r]
 
     res = 10.0 * max(P.eps, 1e-300)
@@ -219,77 +219,39 @@ def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0,
     )
 
 
-def _normalize_ray(vec, mode):
-    if mode == EXACT:
+def _normalize_ray(vec, field):
+    """Exact rays are scaled to unit 1-norm (no square roots in Q), float
+    rays to unit 2-norm."""
+    if field.exact:
         total = sum(abs(x) for x in vec)
-        return tuple(Fraction(x) / total for x in vec)
+        return tuple(x / total for x in vec)
     arr = np.asarray([to_float(x) for x in vec], dtype=float)
     return tuple(float(x) for x in arr / np.linalg.norm(arr))
 
 
-def _ray_key(vec, mode, eps):
-    if mode == EXACT:
-        return vec
-    return tuple(int(round(x / max(eps, 1e-13))) for x in vec)
+def _dual_rays(vectors, field):
+    """Extreme rays of the cone {y : x . y <= 0 for every x in vectors},
+    assumed pointed.  Applied to the rays of a cone it yields that cone's
+    facet covectors, oriented <= 0 on it.
 
+    Brute force: every (dim-1)-subset of vectors whose kernel is a line gives
+    a candidate, kept when all vectors sit weakly on one side of it.  Fine
+    for the handful of polars and facets a facet system carries."""
 
-def _evaluate(row, vec):
-    return sum(r * v for r, v in zip(row, vec))
-
-
-def _sign_split(values, mode, eps):
-    tol = 0 if mode == EXACT else eps
-    has_pos = any(v > tol for v in values)
-    has_neg = any(v < -tol for v in values)
-    return has_pos, has_neg
-
-
-def _cone_facets(rays, mode, eps):
-    """Facet covectors (oriented <= 0 on the cone) of cone(rays).
-
-    Brute force: every (dim-1)-subset of rays whose kernel is a line gives a
-    candidate covector, kept when all rays sit weakly on one side.  Fine for
-    the handful of polars a facet system carries."""
-
-    dim = len(rays[0])
+    dim = len(vectors[0])
     out, keys = [], set()
-    for subset in itertools.combinations(range(len(rays)), dim - 1):
-        basis = _kernel([rays[i] for i in subset], mode, eps)
-        if len(basis) != 1:
-            continue
-        cov = basis[0]
-        vals = [_evaluate(cov, r) for r in rays]
-        has_pos, has_neg = _sign_split(vals, mode, eps)
-        if has_pos and has_neg:
-            continue
-        if has_pos:
-            cov = tuple(-c for c in cov)
-        cov = _normalize_ray(cov, mode)
-        key = _ray_key(cov, mode, eps)
-        if key not in keys:
-            keys.add(key)
-            out.append(cov)
-    return tuple(out)
-
-
-def _cone_extreme_rays(rows, mode, eps):
-    """Extreme rays of {x : row . x <= 0 for all rows}, assuming pointed."""
-
-    dim = len(rows[0])
-    out, keys = [], set()
-    for subset in itertools.combinations(range(len(rows)), dim - 1):
-        basis = _kernel([rows[i] for i in subset], mode, eps)
+    for subset in itertools.combinations(range(len(vectors)), dim - 1):
+        basis = field.kernel([vectors[i] for i in subset])
         if len(basis) != 1:
             continue
         ray = basis[0]
-        vals = [_evaluate(row, ray) for row in rows]
-        has_pos, has_neg = _sign_split(vals, mode, eps)
-        if has_pos and has_neg:
+        signs = [field.sign(v) for v in ratlin.mat_vec(vectors, ray)]
+        if 1 in signs and -1 in signs:
             continue
-        if has_pos:
+        if 1 in signs:
             ray = tuple(-r for r in ray)
-        ray = _normalize_ray(ray, mode)
-        key = _ray_key(ray, mode, eps)
+        ray = _normalize_ray(ray, field)
+        key = field.key(ray)
         if key not in keys:
             keys.add(key)
             out.append(ray)
@@ -309,25 +271,19 @@ def omega_min_seed(P: CoxeterPolytope):
         raise InputError("the minimal invariant domain needs negative type")
     if len(irreducible_components(P.cartan)) != 1:
         raise InputError("the minimal invariant domain needs an irreducible system")
-    dim = P.dim + 1
-    if _rank(P.polars, P.mode, P.eps) != dim:
+    field = P.field
+    if field.rank(P.polars) != P.dim + 1:
         raise InputError("polars do not span the space; no minimal domain seed")
 
-    polar_facets = _cone_facets(P.polars, P.mode, P.eps)
-    tol = 0 if P.mode == EXACT else P.eps
-    inside = True
-    for face in enumerate_faces(P):
-        if face.dim != 0:
-            continue
-        for row in polar_facets:
-            if _evaluate(row, face.witness) > tol:
-                inside = False
-                break
-        if not inside:
-            break
+    polar_facets = _dual_rays(P.polars, field)
+    inside = all(
+        field.sign(v) <= 0
+        for face in enumerate_faces(P)
+        if face.dim == 0
+        for v in ratlin.mat_vec(polar_facets, face.witness)
+    )
 
-    rows = list(P.alphas) + list(polar_facets)
-    rays = _cone_extreme_rays(rows, P.mode, P.eps)
+    rays = _dual_rays(list(P.alphas) + list(polar_facets), field)
     if not rays:
         raise GeometryError("truncation has no extreme rays; cone degenerated")
     return Truncation(

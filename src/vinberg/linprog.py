@@ -14,7 +14,7 @@ Problems with free variables are split by the callers (z = u - w).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .scalars import APPROX, EXACT, Field
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -77,13 +77,9 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol=None):
     a_eq = [list(r) for r in (a_eq or [])]
     b_eq = list(b_eq or [])
     n = len(c)
-    exact = tol is None
-    if exact:
-        cast = Fraction
-        tol_cmp = Fraction(0)
-    else:
-        cast = float
-        tol_cmp = tol
+    field = Field(EXACT) if tol is None else Field(APPROX, tol)
+    cast = field.cast
+    tol_cmp = field.tol
 
     rows = []
     rhs = []
@@ -118,36 +114,36 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol=None):
     ai = n + nslack + nsurp
     art_cols = []
     for i in range(m):
-        row = [cast(0)] * width
+        row = [field.zero] * width
         row[: n] = rows[i]
         row[-1] = rhs[i]
         if kinds[i] == "ub":
-            row[si] = cast(1)
+            row[si] = field.one
             basis.append(si)
             si += 1
         else:
             if kinds[i] == "lb":
-                row[pi] = cast(-1)
+                row[pi] = -field.one
                 pi += 1
-            row[ai] = cast(1)
+            row[ai] = field.one
             basis.append(ai)
             art_cols.append(ai)
             ai += 1
         tab.append(row)
 
-    zero = cast(0)
+    zero = field.zero
     if art_cols:
         # Phase 1: minimize the sum of artificials.
         obj = [zero] * width
         for col in art_cols:
-            obj[col] = cast(1)
+            obj[col] = field.one
         tab.append(obj)
         for i in range(m):
             if basis[i] in art_cols:
                 tab[-1] = [x - y for x, y in zip(tab[-1], tab[i])]
         _run_simplex(tab, basis, width - 1, tol_cmp)
         infeas = -tab[-1][-1]
-        if infeas > (tol_cmp if not exact else 0):
+        if infeas > tol_cmp:
             return INFEASIBLE, None, None
         tab.pop()
         # Drive any artificial still basic out of the basis if possible.

@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import ratlin
 from .cartan import NEGATIVE, irreducible_components, witness_vector
-from .polytope import CoxeterPolytope, _rank, enumerate_faces
-from .scalars import EXACT, InputError
+from .polytope import CoxeterPolytope, enumerate_faces
+from .scalars import InputError, coerce
 
 DEFAULT_MAX_ELEMENTS = 300000
+
+# Approx-mode orbit elements are merged when their entries agree on a fixed
+# 1e-9 grid, whatever the polytope's eps.
+_ORBIT_KEY_STEP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,47 +57,15 @@ class RepresentationReport:
     irreducible: bool
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def _mat_vec(m, v):
-    return tuple(sum(r * x for r, x in zip(row, v)) for row in m)
-
-
-def _vec_mat(v, m):
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
-
-
-def _identity(n, exact):
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def _key(m, exact):
-    if exact:
-        return m
-    return tuple(tuple(round(float(x), 9) for x in row) for row in m)
-
-
 def reflection(P: CoxeterPolytope, s: int):
     """Matrix of the reflection attached to facet s (columns convention)."""
     if not 0 <= s < P.n:
         raise InputError(f"facet index {s} out of range")
-    dim = P.dim + 1
     v = P.polars[s]
     a = P.alphas[s]
-    one = Fraction(1) if P.mode == EXACT else 1.0
+    ident = P.field.identity(P.dim + 1)
     return tuple(
-        tuple((one if i == j else 0 * one) - v[i] * a[j] for j in range(dim))
-        for i in range(dim)
+        tuple(e - vi * aj for e, aj in zip(row, a)) for row, vi in zip(ident, v)
     )
 
 
@@ -116,12 +87,12 @@ def check_relations(P: CoxeterPolytope, tol=None):
     orders.  Exact mode compares matrices exactly; approx mode reports the
     max-norm residual against `tol` (default: the polytope's eps)."""
     if tol is None:
-        tol = 0.0 if P.mode == EXACT else P.eps * 100
+        tol = P.field.tol * 100
     gens = generators(P)
-    ident = _identity(P.dim + 1, P.mode == EXACT)
+    ident = P.field.identity(P.dim + 1)
     out = []
     for s in range(P.n):
-        sq = _mat_mul(gens[s], gens[s])
+        sq = ratlin.mat_mul(gens[s], gens[s])
         res = _residual(sq, ident)
         out.append(RelationCheck(s, s, 1, res <= tol, res))
     for s in range(P.n):
@@ -130,10 +101,10 @@ def check_relations(P: CoxeterPolytope, tol=None):
             if m == math.inf:
                 out.append(RelationCheck(s, t, math.inf, None, 0.0))
                 continue
-            prod = _mat_mul(gens[s], gens[t])
+            prod = ratlin.mat_mul(gens[s], gens[t])
             power = ident
             for _ in range(int(m)):
-                power = _mat_mul(power, prod)
+                power = ratlin.mat_mul(power, prod)
             res = _residual(power, ident)
             out.append(RelationCheck(s, t, m, res <= tol, res))
     return out
@@ -149,13 +120,17 @@ def expand_orbit(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEMEN
     New elements are found by right-multiplication, so each element's word is
     reduced-on-the-right as visited; duplicate matrices are pruned, which
     quotients by all relations automatically."""
-    exact = P.mode == EXACT
+    field = P.field
+
+    def key(m):
+        return field.key([x for row in m for x in row], _ORBIT_KEY_STEP)
+
     gens = generators(P)
-    ident = _identity(P.dim + 1, exact)
+    ident = tuple(map(tuple, field.identity(P.dim + 1)))
     elements = [ident]
     words = [()]
     depths = [0]
-    seen = {_key(ident, exact): 0}
+    seen = {key(ident): 0}
     frontier = [0]
     for level in range(1, depth + 1):
         nxt = []
@@ -165,8 +140,8 @@ def expand_orbit(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEMEN
             for s in range(P.n):
                 if w and w[-1] == s:
                     continue  # sigma_s^2 = Id: never extend by the same letter
-                h = _mat_mul(g, gens[s])
-                k = _key(h, exact)
+                h = tuple(map(tuple, ratlin.mat_mul(g, gens[s])))
+                k = key(h)
                 if k in seen:
                     continue
                 if len(elements) >= max_elements:
@@ -185,8 +160,8 @@ def expand_orbit(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEMEN
     for w in words:
         inv = ident
         for s in reversed(w):
-            inv = _mat_mul(inv, gens[s])
-        inverses.append(seen.get(_key(inv, exact), -1))
+            inv = ratlin.mat_mul(inv, gens[s])
+        inverses.append(seen.get(key(inv), -1))
     return OrbitBall(
         tuple(elements), tuple(words), tuple(depths), tuple(inverses), depth
     )
@@ -212,29 +187,17 @@ def invariant_form(P: CoxeterPolytope):
             idx[(i, j)] = len(idx)
     rows = []
     rhs = []
-    exact = P.mode == EXACT
     for s in range(P.n):
         v = P.polars[s]
         a = P.alphas[s]
         for i in range(dim):
-            row = [Fraction(0) if exact else 0.0] * len(idx)
+            row = [P.field.zero] * len(idx)
             for j in range(dim):
                 key = (i, j) if i <= j else (j, i)
                 row[idx[key]] += v[j]
             rows.append(row)
             rhs.append(a[i])
-    if exact:
-        sol = ratlin.solve(rows, list(rhs))
-    else:
-        import numpy as np
-
-        arr = np.array(rows, dtype=float)
-        b = np.array(rhs, dtype=float)
-        sol, res, rank, _ = np.linalg.lstsq(arr, b, rcond=None)
-        if float(np.linalg.norm(arr @ sol - b)) > P.eps * 100:
-            sol = None
-        else:
-            sol = list(sol)
+    sol = P.field.solve(rows, rhs)
     if sol is None:
         return None
     G = [[None] * dim for _ in range(dim)]
@@ -259,12 +222,10 @@ def invariant_form(P: CoxeterPolytope):
 def form_signature(G, eps=1e-9):
     """Signature (n_plus, n_minus, n_zero) by congruence diagonalization."""
     n = len(G)
-    m = [list(row) for row in G]
-    exact = all(isinstance(x, (int, Fraction)) for row in m for x in row)
-    tol = 0 if exact else eps
+    field, m = coerce(G, eps=eps)
 
     def nonzero(x):
-        return abs(float(x)) > tol
+        return field.sign(x) != 0
 
     pos = neg = zero = 0
     live = list(range(n))
@@ -343,10 +304,8 @@ def supporting_covector(P: CoxeterPolytope):
             "a strictly supporting covector needs negative type "
             f"(got {tt.overall})"
         )
-    w = witness_vector(AT, tt)
-    mu = w.x
-    ell = [sum(mu[s] * P.alphas[s][i] for s in range(P.n)) for i in range(P.dim + 1)]
-    return tuple(ell), tuple(mu)
+    mu = witness_vector(AT, tt).x
+    return tuple(ratlin.mat_mul([mu], P.alphas)[0]), tuple(mu)
 
 
 def _cone_vertices(P: CoxeterPolytope):
@@ -381,16 +340,17 @@ def domain_approx(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEME
     base = _cone_vertices(P)
     tiles = []
     covs = []
-    for i, g in enumerate(ball.elements):
-        tiles.append(tuple(_mat_vec(g, v) for v in base))
-        inv = ball.inverses[i]
-        covs.append(_vec_mat(ell0, ball.elements[inv]))
+    for g, inv in zip(ball.elements, ball.inverses):
+        tiles.append(tuple(tuple(ratlin.mat_vec(g, v)) for v in base))
+        covs.append(tuple(ratlin.mat_mul([ell0], ball.elements[inv])[0]))
     import numpy as np
 
     rays = np.array(
         [[float(x) for x in ray] for tile in tiles for ray in tile], dtype=float
     ).T  # dim x (tiles * verts)
-    tol = 1e-12 if P.mode == EXACT else 1e-7
+    # exact rays and covectors are rounded to float once; approx ones carry
+    # the rounding of every product in the ball
+    tol = 1e-12 if P.field.exact else 1e-7
     cov_arr = np.array([[float(c) for c in cov] for cov in covs], dtype=float)
     scale = np.maximum(1.0, np.abs(cov_arr).max(axis=1))
     for start in range(0, len(covs), 256):
@@ -405,10 +365,10 @@ def domain_approx(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEME
 
 def representation_report(P: CoxeterPolytope) -> RepresentationReport:
     dim = P.dim + 1
-    reduced = _rank(list(P.alphas), P.mode, P.eps) == dim
-    dual_reduced = _rank(list(P.polars), P.mode, P.eps) == dim
+    reduced = P.field.rank(P.alphas) == dim
+    dual_reduced = P.field.rank(P.polars) == dim
     comps = irreducible_components(P.cartan)
-    cr = _rank(P.cartan.rows(), P.mode, P.eps)
+    cr = P.field.rank(P.cartan.rows())
     irreducible = len(comps) == 1 and cr == dim and reduced and dual_reduced
     return RepresentationReport(reduced, dual_reduced, len(comps) == 1, cr, irreducible)
 
@@ -421,7 +381,7 @@ def check_properness(P: CoxeterPolytope, depth=6, max_elements=DEFAULT_MAX_ELEME
     ell0, _ = supporting_covector(P)
     worst = -math.inf
     for g in ball.elements:
-        x = _mat_vec(g, P.interior)
+        x = ratlin.mat_vec(g, P.interior)
         val = float(sum(l * xi for l, xi in zip(ell0, x)))
         worst = max(worst, val)
     return (worst < 0, worst)

@@ -18,14 +18,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
+from functools import cached_property
 
 from . import ratlin
 from .cartan import (
     CartanMatrix,
-    MIXED,
     NEGATIVE,
     POSITIVE,
     TypeTag,
@@ -36,7 +33,7 @@ from .cartan import (
     validate_cartan,
 )
 from .linprog import OPTIMAL, maximize_with_free_vars
-from .scalars import APPROX, DEFAULT_EPS, EXACT, InputError, all_exact
+from .scalars import DEFAULT_EPS, Field, InputError, coerce
 
 DEFAULT_MAX_FACETS = 16
 
@@ -66,6 +63,10 @@ class CoxeterPolytope:
     eps: float
     labels: tuple
     interior: tuple  # cached interior point of the preferred lift
+
+    @cached_property
+    def field(self):
+        return Field(self.mode, self.eps)
 
     @property
     def n(self):
@@ -102,39 +103,6 @@ class JoinStructure:
 
 
 # ---------------------------------------------------------------------------
-# mode-generic linear algebra
-
-
-def _kernel(rows, mode, eps):
-    if not rows:
-        return None  # full space
-    if mode == EXACT:
-        return ratlin.kernel_basis([list(r) for r in rows])
-    a = np.array(rows, dtype=float)
-    _, s, vh = np.linalg.svd(a)
-    tol = max(a.shape) * (s[0] if len(s) else 0.0) * 1e-13 + eps
-    null = [vh[i] for i in range(vh.shape[0]) if i >= len(s) or s[i] <= tol]
-    return [list(v) for v in null]
-
-
-def _rank(rows, mode, eps):
-    if not rows:
-        return 0
-    if mode == EXACT:
-        return ratlin.rank([list(r) for r in rows])
-    a = np.array(rows, dtype=float)
-    s = np.linalg.svd(a, compute_uv=False)
-    if len(s) == 0 or s[0] == 0.0:
-        return 0
-    tol = max(a.shape) * s[0] * 1e-13 + eps
-    return int((s > tol).sum())
-
-
-def _dot(row, vec):
-    return sum(a * b for a, b in zip(row, vec))
-
-
-# ---------------------------------------------------------------------------
 # face feasibility LP
 
 
@@ -142,21 +110,21 @@ def face_witness(alphas, subset, mode, eps):
     """Solve the defining system for `subset`; returns a cone point with
     active set exactly `subset`, or None.  Standalone so that it can be
     cross-checked against brute-force cone enumeration."""
+    field = Field(mode, eps)
     n = len(alphas)
     subset = frozenset(subset)
     strict = [s for s in range(n) if s not in subset]
-    kernel = _kernel([alphas[s] for s in subset], mode, eps)
-    if kernel is None:
-        dim = len(alphas[0])
-        kernel = ratlin.identity(dim) if mode == EXACT else [list(r) for r in np.eye(dim)]
+    if subset:
+        kernel = field.kernel([alphas[s] for s in subset])
+    else:
+        kernel = field.identity(len(alphas[0]))
     if not kernel:
         return None
     k = len(kernel)
     # Reduced system: beta rows act on kernel coordinates z.
-    beta = [[_dot(alphas[s], kv) for kv in kernel] for s in strict]
-    tol = 0.0 if mode == EXACT else eps
+    beta = [ratlin.mat_vec(kernel, alphas[s]) for s in strict]
     for row in beta:
-        if all(abs(float(x)) <= tol for x in row):
+        if all(field.sign(x) == 0 for x in row):
             return None  # this covector vanishes on the whole kernel
     # maximize t subject to beta.z <= -t, |z_i| <= 1, t <= 1  (z free, t >= 0)
     nv = k + 1
@@ -175,16 +143,15 @@ def face_witness(alphas, subset, mode, eps):
     a_ub.append([0] * k + [1])
     b_ub.append(1)
     c = [0] * k + [1]
-    lp_tol = None if mode == EXACT else eps * 1e-3
+    # solve_lp is exact for tol=None; float pivots compare at eps / 1000
+    lp_tol = None if field.exact else eps * 1e-3
     status, x, value = maximize_with_free_vars(c, a_ub, b_ub, [], [], nv, tol=lp_tol)
-    if status != OPTIMAL or value is None or not value > tol:
+    if status != OPTIMAL or value is None or field.sign(value) <= 0:
         return None
-    z = x[:k]
-    point = [sum(kernel[j][i] * z[j] for j in range(k)) for i in range(len(alphas[0]))]
+    point = ratlin.mat_vec(ratlin.transpose(kernel), x[:k])
     # Re-verify the witness by substitution (meaningful in approx mode).
-    for s in strict:
-        if not float(_dot(alphas[s], point)) < -tol:
-            return None
+    if any(field.sign(v) >= 0 for v in ratlin.mat_vec([alphas[s] for s in strict], point)):
+        return None
     return point
 
 
@@ -209,41 +176,31 @@ def build_polytope(pairs, labels=None, mode=None, eps=DEFAULT_EPS):
         if len(vec) != dim:
             raise PolytopeError("inconsistent vector lengths")
 
-    exact = all_exact(alphas) and all_exact(polars)
-    if mode is None:
-        mode = EXACT if exact else APPROX
-    if mode == EXACT and not exact:
-        raise PolytopeError("exact mode requested but coordinates are not rational")
-    if mode == EXACT:
-        alphas = [[Fraction(x) for x in row] for row in alphas]
-        polars = [[Fraction(x) for x in row] for row in polars]
-    else:
-        alphas = [[float(x) for x in row] for row in alphas]
-        polars = [[float(x) for x in row] for row in polars]
+    field, rows = coerce(alphas + polars, mode, eps)
+    alphas, polars = rows[:n], rows[n:]
 
-    pairing = [[_dot(alphas[s], polars[t]) for t in range(n)] for s in range(n)]
-    tol = 0.0 if mode == EXACT else eps
+    pairing = ratlin.mat_mul(alphas, ratlin.transpose(polars))
     for s in range(n):
-        if abs(float(pairing[s][s] - 2)) > tol:
+        if field.sign(pairing[s][s] - 2) != 0:
             raise PolytopeError(f"a_s(v_s) = {pairing[s][s]} != 2 at facet {s}")
-    A = validate_cartan(pairing, labels=labels, mode=mode, eps=eps)
+    A = validate_cartan(pairing, labels=labels, mode=field.mode, eps=eps)
 
-    if _rank(alphas, mode, eps) != dim:
+    if field.rank(alphas) != dim:
         raise NotReducedError(
             "covectors do not span the dual space (representation not reduced)"
         )
-    interior = face_witness(alphas, (), mode, eps)
+    interior = face_witness(alphas, (), field.mode, eps)
     if interior is None:
         raise EmptyInteriorError("the cone {a_s <= 0} has empty interior")
     for s in range(n):
-        if face_witness(alphas, (s,), mode, eps) is None:
+        if face_witness(alphas, (s,), field.mode, eps) is None:
             raise RedundantFacetError(f"covector {s} does not define a facet")
 
     return CoxeterPolytope(
         tuple(tuple(r) for r in alphas),
         tuple(tuple(r) for r in polars),
         A,
-        mode,
+        field.mode,
         eps,
         A.labels,
         tuple(interior),
@@ -253,14 +210,7 @@ def build_polytope(pairs, labels=None, mode=None, eps=DEFAULT_EPS):
 def tits_polytope(A: CartanMatrix) -> CoxeterPolytope:
     """Canonical simplex of a Cartan matrix: covectors the dual canonical
     basis of R^S, polars the columns of A."""
-    n = A.n
-    one = Fraction(1) if A.mode == EXACT else 1.0
-    zero = Fraction(0) if A.mode == EXACT else 0.0
-    pairs = []
-    for s in range(n):
-        alpha = [one if i == s else zero for i in range(n)]
-        polar = [A.entries[i][s] for i in range(n)]
-        pairs.append((alpha, polar))
+    pairs = list(zip(A.field.identity(A.n), ratlin.transpose(A.entries)))
     return build_polytope(pairs, labels=A.labels, mode=A.mode, eps=A.eps)
 
 
@@ -287,7 +237,7 @@ def defines_face(P: CoxeterPolytope, subset) -> FaceDescriptor | None:
     witness = face_witness(P.alphas, subset, P.mode, P.eps)
     if witness is None:
         return None
-    r = _rank([P.alphas[s] for s in subset], P.mode, P.eps)
+    r = P.field.rank([P.alphas[s] for s in subset])
     return FaceDescriptor(subset, P.dim - r, tuple(witness), link_cartan, link_type)
 
 
@@ -318,8 +268,8 @@ def classify_face(P: CoxeterPolytope, subset) -> FaceClass:
     subset = tuple(sorted(set(subset)))
     link_cartan = restrict(P.cartan, subset)
     tt = classify_type(link_cartan)
-    link_dim = _rank([P.alphas[s] for s in subset], P.mode, P.eps) - 1
-    cr = _rank(link_cartan.rows(), P.mode, P.eps)
+    link_dim = P.field.rank([P.alphas[s] for s in subset]) - 1
+    cr = P.field.rank(link_cartan.rows())
     parabolic = (cr == link_dim) if tt.overall == ZERO else None
     loxodromic = (cr == link_dim + 1) if tt.overall == NEGATIVE else None
     return FaceClass(tt.overall, parabolic, loxodromic, link_dim, cr)
@@ -339,58 +289,28 @@ def link(P: CoxeterPolytope, subset) -> CoxeterPolytope:
     if not subset:
         return P
     rows = [list(P.alphas[s]) for s in subset]
-    if P.mode == EXACT:
-        _, pivots = ratlin.rref(ratlin.transpose(rows))
-        basis_idx = pivots  # indices into `subset` of independent covectors
+    # indices into `subset` of independent covectors: the first ones in exact
+    # mode, the best conditioned ones (column-pivoted QR) in approx mode
+    if P.field.exact:
+        _, basis_idx = ratlin.rref(ratlin.transpose(rows))
     else:
-        a = np.array(rows, dtype=float).T
-        q, r, piv = _qr_pivot(a)
-        basis_idx = piv
+        from scipy.linalg import qr
+
+        _, piv = qr(ratlin.transpose(rows), mode="r", pivoting=True)
+        basis_idx = piv[: P.field.rank(rows)]
     basis_rows = [rows[i] for i in basis_idx]
     pairs = []
-    for pos, s in enumerate(subset):
-        if P.mode == EXACT:
-            coeff = ratlin.solve(ratlin.transpose(basis_rows), list(P.alphas[s]))
-        else:
-            coeff, *_ = np.linalg.lstsq(
-                np.array(basis_rows, dtype=float).T, np.array(P.alphas[s], dtype=float),
-                rcond=None,
-            )
-            coeff = list(coeff)
+    for s in subset:
+        coeff = P.field.solve(ratlin.transpose(basis_rows), list(P.alphas[s]))
         if coeff is None:
             raise PolytopeError("face covector outside the span of the basis")
-        polar = [_dot(basis_rows[j], P.polars[s]) for j in range(len(basis_rows))]
-        pairs.append((coeff, polar))
+        pairs.append((coeff, ratlin.mat_vec(basis_rows, P.polars[s])))
     return build_polytope(
         pairs,
         labels=[P.labels[s] for s in subset],
         mode=P.mode,
         eps=P.eps,
     )
-
-
-def _qr_pivot(a):
-    """Column-pivoted Gram-Schmidt returning independent column indices."""
-    a = a.copy()
-    m, n = a.shape
-    piv = []
-    used = np.zeros(n, dtype=bool)
-    basis = []
-    for _ in range(min(m, n)):
-        norms = [
-            (np.linalg.norm(a[:, j]), j) for j in range(n) if not used[j]
-        ]
-        norm, j = max(norms)
-        if norm < 1e-12:
-            break
-        used[j] = True
-        piv.append(j)
-        q = a[:, j] / norm
-        basis.append(q)
-        for jj in range(n):
-            if not used[jj]:
-                a[:, jj] -= q * (q @ a[:, jj])
-    return basis, a, piv
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +327,9 @@ def bigger_face(P: CoxeterPolytope, t1, t2):
     t2 = tuple(sorted(set(t2)))
     if set(t1) & set(t2):
         raise InputError("T1 and T2 must be disjoint")
-    tol = 0.0 if P.mode == EXACT else P.eps
     for s in t1:
         for t in t2:
-            if abs(float(P.cartan.entry(s, t))) > tol:
+            if P.field.sign(P.cartan.entry(s, t)) != 0:
                 raise InputError("T1 must be orthogonal to T2")
     if defines_face(P, t1 + t2) is None:
         raise InputError("T1 u T2 does not define a face")
@@ -444,7 +363,7 @@ def join(P: CoxeterPolytope, Q: CoxeterPolytope) -> CoxeterPolytope:
         raise InputError("cannot join polytopes of different modes")
     dp = P.dim + 1
     dq = Q.dim + 1
-    zero = Fraction(0) if P.mode == EXACT else 0.0
+    zero = P.field.zero
     pairs = []
     for s in range(P.n):
         pairs.append(
@@ -470,31 +389,29 @@ def decompose(P: CoxeterPolytope):
     if len(comps) <= 1:
         return None
     dim = P.dim + 1
-    bases = []
-    for comp in comps:
-        others = [P.alphas[s] for s in range(P.n) if s not in comp]
-        basis = _kernel(others, P.mode, P.eps)
-        bases.append(basis if basis is not None else [])
+    field = P.field
+    bases = [
+        field.kernel([P.alphas[s] for s in range(P.n) if s not in comp])
+        for comp in comps
+    ]
     if sum(len(b) for b in bases) != dim:
         return None
     # Change of basis: columns are the W_i bases in block order.
     cols = [vec for basis in bases for vec in basis]
     T = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    if _rank(T, P.mode, P.eps) != dim:
+    if field.rank(T) != dim:
         return None  # subspaces overlap: the sum is not direct
-    if P.mode == EXACT:
-        Tinv = ratlin.inverse(T)
-    else:
-        Tinv = np.linalg.inv(np.array(T, dtype=float)).tolist()
+    Tinv = field.inverse(T)
     factors = []
     offset = 0
-    tol = 0.0 if P.mode == EXACT else 1e-8
+    # float entries went through a kernel and an inverse: allow 1e-8 leakage
+    tol = 0.0 if field.exact else 1e-8
     for comp, basis in zip(comps, bases):
         k = len(basis)
         pairs = []
         for s in comp:
-            alpha_t = [_dot(P.alphas[s], col) for col in cols]
-            polar_t = [_dot(row, P.polars[s]) for row in Tinv]
+            alpha_t = ratlin.mat_vec(cols, P.alphas[s])
+            polar_t = ratlin.mat_vec(Tinv, P.polars[s])
             for j, val in enumerate(alpha_t):
                 if not offset <= j < offset + k and abs(float(val)) > tol:
                     raise ArithmeticError("covector support leaks across blocks")

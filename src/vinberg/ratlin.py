@@ -35,14 +35,6 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def vec_mat(v, a):
-    return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def scale(v, c):
     return [c * x for x in v]
 
@@ -131,23 +123,6 @@ def inverse(m):
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in rows]
-
-
-def adjugate(m):
-    """Adjugate (classical adjoint): adj(m) * m = det(m) * I, exact."""
-    n = len(m)
-    if n == 0:
-        return []
-    if n == 1:
-        return [[ONE]]
-    adj = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            adj[j][i] = (-ONE) ** (i + j) * det(minor)
-    return adj
 
 
 def solve(m, b):

@@ -1,21 +1,34 @@
-"""Scalar conventions shared by the whole package.
+"""Scalar conventions shared by the whole package: the arithmetic field.
 
-Everything downstream runs in one of two modes:
+Everything downstream runs in one of two arithmetics, each described by a
+`Field` built from the pair (mode, eps):
 
-* ``exact`` -- entries are `fractions.Fraction`; comparisons are exact and
-  certificates are genuine proofs.
-* ``approx`` -- entries are binary64 floats; comparisons carry a tolerance
-  ``eps`` and results report margins instead of proofs.
+* ``exact`` -- entries are `fractions.Fraction`; the tolerance is 0, signs
+  and ranks are exact, and certificates are genuine proofs.  Linear algebra
+  goes through `ratlin`.
+* ``approx`` -- entries are binary64 floats; every sign test has the dead
+  zone ``eps`` and results report margins instead of proofs.  Linear algebra
+  goes through numpy's SVD and least squares.
 
-A matrix (or polytope) is exact only if every entry is rational; a single
-irrational entry demotes the whole object to approx mode.
+The mode is decided once, where a matrix enters (`coerce`): a matrix (or
+polytope) is exact only if every entry is rational, a single irrational
+entry demotes the whole object to approx mode, and forcing exact mode on
+irrational input is an error.  From then on code asks the field for zero,
+one, casts, signs, deduplication keys, ranks, kernels, solutions and
+inverses instead of testing the mode; it branches on `Field.exact` only
+where the two arithmetics need different algorithms.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import dataclasses
 from fractions import Fraction
+
+import numpy as np
+
+from . import ratlin
 
 EXACT = "exact"
 APPROX = "approx"
@@ -33,12 +46,13 @@ class InputError(ValueError):
 
 
 def default_mode() -> str | None:
-    env = os.environ.get("VINBERG_MODE")
-    if env is None:
+    """Mode forced by the VINBERG_MODE environment variable, or None when it
+    is unset or blank."""
+    env = os.environ.get("VINBERG_MODE", "").strip().lower()
+    if not env:
         return None
-    env = env.strip().lower()
     if env not in (EXACT, APPROX):
-        raise InputError(f"VINBERG_MODE must be 'exact' or 'approx', got {env!r}")
+        raise InputError(f"VINBERG_MODE: mode must be 'exact' or 'approx', got {env!r}")
     return env
 
 
@@ -102,3 +116,96 @@ def sign_of(x, eps: float = 0.0) -> int:
     if xf < -eps:
         return -1
     return 0
+
+
+@dataclasses.dataclass(frozen=True)
+class Field:
+    """The arithmetic of one matrix or polytope: `Fraction`s with tolerance
+    0 in exact mode, floats with tolerance `eps` in approx mode."""
+
+    mode: str
+    eps: float = DEFAULT_EPS
+    # derived from mode and eps; tol is the dead zone of every sign test
+    exact: bool = dataclasses.field(init=False, repr=False, compare=False)
+    zero: object = dataclasses.field(init=False, repr=False, compare=False)
+    one: object = dataclasses.field(init=False, repr=False, compare=False)
+    tol: object = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        exact = self.mode == EXACT
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "zero", ratlin.ZERO if exact else 0.0)
+        object.__setattr__(self, "one", ratlin.ONE if exact else 1.0)
+        object.__setattr__(self, "tol", 0 if exact else self.eps)
+
+    def cast(self, x):
+        return Fraction(x) if self.exact else float(x)
+
+    def sign(self, x) -> int:
+        return sign_of(x, self.tol)
+
+    def key(self, values, step=None):
+        """Hashable deduplication key of a vector: the entries themselves in
+        exact mode, their multiples of `step` (default eps) in approx mode."""
+        if self.exact:
+            return tuple(values)
+        step = max(self.eps, 1e-13) if step is None else step
+        return tuple(round(float(x) / step) for x in values)
+
+    def identity(self, n):
+        return [[self.one if i == j else self.zero for j in range(n)] for i in range(n)]
+
+    def rank(self, rows) -> int:
+        if not rows:
+            return 0
+        if self.exact:
+            return ratlin.rank([list(r) for r in rows])
+        a = np.array(rows, dtype=float)
+        s = np.linalg.svd(a, compute_uv=False)
+        if len(s) == 0 or s[0] == 0.0:
+            return 0
+        tol = max(a.shape) * s[0] * 1e-13 + self.eps
+        return int((s > tol).sum())
+
+    def kernel(self, rows):
+        """Basis of the right kernel {x : rows . x = 0} of a nonempty matrix."""
+        if self.exact:
+            return ratlin.kernel_basis([list(r) for r in rows])
+        a = np.array(rows, dtype=float)
+        _, s, vh = np.linalg.svd(a)
+        tol = max(a.shape) * (s[0] if len(s) else 0.0) * 1e-13 + self.eps
+        null = [vh[i] for i in range(vh.shape[0]) if i >= len(s) or s[i] <= tol]
+        return [list(v) for v in null]
+
+    def solve(self, m, b):
+        """One solution of m x = b, or None when the system is inconsistent
+        (in approx mode: when the least-squares residual exceeds 100 eps)."""
+        if self.exact:
+            return ratlin.solve(m, b)
+        arr = np.array(m, dtype=float)
+        rhs = np.array(b, dtype=float)
+        sol, *_ = np.linalg.lstsq(arr, rhs, rcond=None)
+        if float(np.linalg.norm(arr @ sol - rhs)) > self.eps * 100:
+            return None
+        return list(sol)
+
+    def inverse(self, m):
+        if self.exact:
+            return ratlin.inverse(m)
+        return np.linalg.inv(np.array(m, dtype=float)).tolist()
+
+
+def coerce(rows, mode=None, eps=DEFAULT_EPS):
+    """(field, rows cast into it) for a matrix entering the package.
+
+    With no mode the field is exact exactly when every entry is rational;
+    forcing exact mode on an irrational entry raises."""
+    rational = all_exact(rows)
+    if mode is None:
+        mode = EXACT if rational else APPROX
+    if mode not in (EXACT, APPROX):
+        raise InputError(f"unknown mode {mode!r}")
+    if mode == EXACT and not rational:
+        raise InputError("exact mode requested but the input has irrational entries")
+    field = Field(mode, eps)
+    return field, [[field.cast(x) for x in row] for row in rows]

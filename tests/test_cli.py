@@ -171,6 +171,37 @@ def test_mode_env_and_flag(tmp_path, capsys, monkeypatch):
     assert "mode must be" in capsys.readouterr().err
 
 
+def test_mode_env_is_trimmed_and_case_blind(tmp_path, capsys, monkeypatch):
+    exact_doc = _write(tmp_path, {"cartan_matrix": [[2, -1], [-1, 2]]})
+    monkeypatch.setenv("VINBERG_MODE", " Exact ")
+    assert run_command(["validate", exact_doc]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "exact"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "--depth", "0"],
+        ["volume", "--samples", "0"],
+        ["validate", "--eps", "-1"],
+        ["validate", "--eps", "nan"],
+        ["validate", "--eps", "inf"],
+        ["tile", "--depth", "-3", "--out", "unused.svg"],
+        ["limit-set", "--count", "0", "--out", "unused.csv"],
+        ["limit-set", "--words", "1", "--out", "unused.csv"],
+    ],
+)
+def test_out_of_range_arguments_are_input_errors(tmp_path, capsys, argv):
+    args = argv[:1] + [_doc(tmp_path, "t237")] + [
+        str(tmp_path / a) if a.startswith("unused") else a for a in argv[1:]
+    ]
+    assert run_command(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:")
+    assert captured.out == ""
+    assert not list(tmp_path.glob("unused.*"))
+
+
 def test_bad_json_names_position(tmp_path, capsys):
     bad = _write(tmp_path, "{oops")
     assert run_command(["validate", bad]) == 2

@@ -138,6 +138,10 @@ def test_link_restricts_cartan():
     assert L.n == 2
     assert L.cartan.entries == restrict(P.cartan, (1, 2)).entries
     assert L.dim == P.dim - 1
+    Q = corpus.build("t237")  # approx mode: the link basis comes from pivoted QR
+    L = link(Q, (1, 2))
+    assert L.mode == "approx" and L.n == 2 and L.dim == Q.dim - 1
+    assert L.cartan.entries == restrict(Q.cartan, (1, 2)).entries
     with pytest.raises(PolytopeError):
         link(corpus.square(), (0, 1))
 
@@ -193,7 +197,5 @@ def test_corpus_face_dims_against_rank():
         for face in enumerate_faces(P):
             if not face.subset:
                 continue
-            from vinberg.polytope import _rank
-
-            r = _rank([P.alphas[s] for s in face.subset], P.mode, P.eps)
+            r = P.field.rank([P.alphas[s] for s in face.subset])
             assert face.dim == P.dim - r

@@ -7,14 +7,12 @@ import numpy as np
 from vinberg import ratlin
 
 
-def test_det_inverse_adjugate_hand_values():
+def test_det_inverse_hand_values():
     m = ratlin.mat([[2, -1], [-3, 2]])
     assert ratlin.det(m) == 1
     inv = ratlin.inverse(m)
     assert inv == [[Fraction(2), Fraction(1)], [Fraction(3), Fraction(2)]]
     assert ratlin.mat_mul(m, inv) == ratlin.identity(2)
-    adj = ratlin.adjugate(m)
-    assert ratlin.mat_mul(m, adj) == ratlin.identity(2)  # det = 1 here
 
 
 def test_solve_and_kernel():
@@ -50,13 +48,11 @@ def test_leading_principal_minors():
 def test_vector_matrix_products():
     m = ratlin.mat([[1, 2], [3, 4]])
     assert ratlin.mat_vec(m, [Fraction(1), Fraction(1)]) == [Fraction(3), Fraction(7)]
-    assert ratlin.vec_mat([Fraction(1), Fraction(1)], m) == [Fraction(4), Fraction(6)]
     assert ratlin.transpose(m) == [[Fraction(1), Fraction(3)], [Fraction(2), Fraction(4)]]
     assert ratlin.scale([Fraction(1), Fraction(-2)], Fraction(3)) == [
         Fraction(3),
         Fraction(-6),
     ]
-    assert ratlin.mat_sub(m, m) == [[0, 0], [0, 0]]
 
 
 def test_random_matrices_against_numpy():
