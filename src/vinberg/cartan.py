@@ -204,7 +204,9 @@ def restrict(A, subset):
 
 
 def _power_lambda(rows, eps):
-    """Numeric 2 - rho(2I - A) for an irreducible block, by power iteration.
+    """(2 - rho(2I - A), Perron vector, converged) for an irreducible block,
+    by power iteration; converged is False when the Rayleigh quotient still
+    moved by eps/10 or more at the step cap.
 
     Iterates on 3I - A, which is nonnegative with positive diagonal, hence
     primitive on an irreducible block; the unshifted 2I - A can have paired
@@ -222,10 +224,9 @@ def _power_lambda(rows, eps):
         norm = sum(abs(x) for x in w)
         v = [x / norm for x in w]
         if abs(new - lam) < eps / 10.0:
-            lam = new
-            break
+            return 3.0 - new, v, True
         lam = new
-    return 3.0 - lam, v
+    return 3.0 - lam, v, False
 
 
 def _is_nonsingular_m_matrix(rows):
@@ -254,7 +255,12 @@ def classify_type(A):
     warnings = []
     for comp in irreducible_components(A):
         rows = [[A.entries[s][t] for t in comp] for s in comp]
-        lam, _ = _power_lambda(rows, A.eps)
+        lam, _, converged = _power_lambda(rows, A.eps)
+        if not converged:
+            warnings.append(
+                f"block {comp}: power iteration did not converge in "
+                f"{_POWER_CAP} steps; lambda = {lam:.3e} is unconverged"
+            )
         if A.field.exact:
             tag = _classify_block_exact(rows)
             margin = abs(lam)
@@ -343,7 +349,7 @@ def witness_vector(A, tag=None):
         if field.exact:
             bx = _exact_block_witness(rows, block.tag)
         else:
-            _, bx = _power_lambda(rows, A.eps)
+            _, bx, _ = _power_lambda(rows, A.eps)
         for idx, val in zip(block.indices, bx):
             x[idx] = val
     image = ratlin.mat_vec(A.entries, x)

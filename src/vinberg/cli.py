@@ -2,9 +2,10 @@
 limit-set.
 
 Exit codes: 0 for success (and mathematical Yes), 3 for a mathematical No,
-2 for any input or validation error.  All reports are canonical JSON so
-identical runs produce identical bytes; artifacts (SVG, CSV) are
-deterministic for the same reason.
+2 for any input or validation error, 1 for an internal invariant failure
+(two routes disagree, a certificate fails to check, the LP pivot cap).
+All reports are canonical JSON so identical runs produce identical bytes;
+artifacts (SVG, CSV) are deterministic for the same reason.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import asdict
 
 from .cartan import CartanValidationError, classify_type, irreducible_components
 from .coxeter import classify_group, coxeter_from_cartan
 from .decisions import (
     NotNegativeType,
+    RouteDisagreement,
     decide_finite_volume,
     decide_min_domain_equals_vinberg,
     decide_unique_domain,
@@ -25,16 +28,19 @@ from .decisions import (
 from .formats import build, canonical_json, parse, write_csv
 from .hilbert import GeometryError, volume_sequence, witness_chart
 from .limits import hull_of_limit_set, sample_limit_set
+from .linprog import LPError
 from .orbits import domain_approx, representation_report
 from .polytope import PolytopeError, classify_face, enumerate_faces
 from .scalars import APPROX, EXACT, InputError, default_mode
 from .svg import conic_loop, render_points_svg, render_tiling_svg
 
 EXIT_YES = 0
+EXIT_INTERNAL = 1
 EXIT_NO = 3
 EXIT_INPUT = 2
 
 _INPUT_ERRORS = (InputError, CartanValidationError, PolytopeError, GeometryError)
+_INTERNAL_ERRORS = (RouteDisagreement, ArithmeticError, LPError)
 
 
 def _tag_report(tag):
@@ -205,8 +211,12 @@ def _cmd_limit_set(args):
     count = _at_least(args.count, 1, "--count")
     words = _at_least(args.words, 2, "--words")  # no single reflection is proximal
     P = _load(args)
-    sample = sample_limit_set(P, word_length=words, count=count, seed=args.seed)
-    for note in sample.warnings:
+    # near-tie warnings become plain lines, like the sample's own notes
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sample = sample_limit_set(P, word_length=words, count=count, seed=args.seed)
+    raised = dict.fromkeys(str(w.message) for w in caught)
+    for note in [*raised, *sample.warnings]:
         sys.stderr.write(note + "\n")
     chart = witness_chart(P)
     coords = [chart.to_chart(p) for p in sample.points]
@@ -311,6 +321,9 @@ def run_command(argv) -> int:
     except OSError as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
+    except _INTERNAL_ERRORS as exc:
+        sys.stderr.write("internal error: %s\n" % " ".join(str(exc).split()))
+        return EXIT_INTERNAL
 
 
 def main(argv=None) -> None:

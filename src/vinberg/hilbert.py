@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .orbits import DomainApprox, domain_approx, invariant_form, supporting_covector
-from .polytope import CoxeterPolytope, enumerate_faces
+from .polytope import CoxeterPolytope, vertex_faces
 from .scalars import InputError
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
@@ -555,11 +555,7 @@ def fundamental_target(P: CoxeterPolytope, chart: Chart):
         a, bb = chart.halfspace(alpha)
         A.append(a)
         b.append(bb)
-    verts = [
-        chart.to_chart([float(x) for x in f.witness])
-        for f in enumerate_faces(P)
-        if f.dim == 0 and f.subset
-    ]
+    verts = [chart.to_chart([float(x) for x in f.witness]) for f in vertex_faces(P)]
     if len(verts) < P.dim + 1:
         raise GeometryError("fundamental polytope has too few vertices to box")
     return HalfspaceBody(np.asarray(A), np.asarray(b), vertices=np.asarray(verts))

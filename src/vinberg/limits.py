@@ -25,7 +25,7 @@ from . import ratlin
 from .cartan import NEGATIVE, classify_type, irreducible_components
 from .hilbert import GeometryError, HalfspaceBody, polygon_body, _hull_2d
 from .orbits import generators, supporting_covector
-from .polytope import CoxeterPolytope, enumerate_faces
+from .polytope import CoxeterPolytope, vertex_faces
 from .scalars import InputError, to_float
 
 EPS_GAP = 1e-6
@@ -278,8 +278,7 @@ def omega_min_seed(P: CoxeterPolytope):
     polar_facets = _dual_rays(P.polars, field)
     inside = all(
         field.sign(v) <= 0
-        for face in enumerate_faces(P)
-        if face.dim == 0
+        for face in vertex_faces(P)
         for v in ratlin.mat_vec(polar_facets, face.witness)
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import ratlin
 from .cartan import NEGATIVE, irreducible_components, witness_vector
-from .polytope import CoxeterPolytope, enumerate_faces
+from .polytope import CoxeterPolytope, vertex_faces
 from .scalars import InputError, coerce
 
 DEFAULT_MAX_ELEMENTS = 300000
@@ -311,7 +311,7 @@ def supporting_covector(P: CoxeterPolytope):
 def _cone_vertices(P: CoxeterPolytope):
     """Vertex rays of the fundamental cone in a deterministic cyclic order
     (2D: by angle in the affine chart ell0 = -1; higher dim: lex order)."""
-    verts = [f.witness for f in enumerate_faces(P) if f.dim == 0 and f.subset]
+    verts = [f.witness for f in vertex_faces(P)]
     if P.dim == 2 and len(verts) >= 3:
         ell, _ = supporting_covector(P)
         pts = []

@@ -11,7 +11,11 @@ A subset S' of facets defines a face exactly when the system
     a_s(x) = 0 (s in S'),   a_s(x) < 0 (s not in S')
 
 has a solution; feasibility is decided by exact rational LP (approx mode
-runs the same pivoting over floats and re-verifies the witness).
+runs the same pivoting over floats and re-verifies the witness), except
+when the covectors are the dual canonical basis (every Tits simplex and
+every join of them), where the LP optimum is known in closed form.  The
+face lattice and the link type of each facet subset are computed once per
+polytope and memoised on it.
 """
 
 from __future__ import annotations
@@ -68,6 +72,30 @@ class CoxeterPolytope:
     def field(self):
         return Field(self.mode, self.eps)
 
+    @cached_property
+    def face_table(self):
+        """The face lattice, computed once: every proper face plus the
+        interior, ordered by (size, lex), and the empty face when d = 0.
+        Read it through `enumerate_faces`, which guards the facet count."""
+        out = [defines_face(self, ())]
+        indices = range(self.n)
+        for size in range(1, self.n):
+            for subset in itertools.combinations(indices, size):
+                desc = defines_face(self, subset)
+                if desc is not None:
+                    out.append(desc)
+        if self.dim == 0:
+            out.append(defines_face(self, tuple(indices)))
+        return tuple(out)
+
+    @cached_property
+    def _restrictions(self):
+        return {}  # sorted facet subset -> (restricted Cartan matrix, its TypeTag)
+
+    @cached_property
+    def _face_classes(self):
+        return {}  # sorted facet subset -> FaceClass
+
     @property
     def n(self):
         return len(self.alphas)
@@ -106,6 +134,15 @@ class JoinStructure:
 # face feasibility LP
 
 
+def _is_dual_basis(alphas):
+    """Are the covectors the dual canonical basis (the identity matrix)?"""
+    n = len(alphas)
+    return all(
+        len(row) == n and all(x == (1 if i == j else 0) for j, x in enumerate(row))
+        for i, row in enumerate(alphas)
+    )
+
+
 def face_witness(alphas, subset, mode, eps):
     """Solve the defining system for `subset`; returns a cone point with
     active set exactly `subset`, or None.  Standalone so that it can be
@@ -113,6 +150,12 @@ def face_witness(alphas, subset, mode, eps):
     field = Field(mode, eps)
     n = len(alphas)
     subset = frozenset(subset)
+    if _is_dual_basis(alphas):
+        # The reduced system below is z_j <= -t, |z_j| <= 1, t <= 1 on the
+        # coordinates off `subset`: its unique optimum t = 1 forces z = -1.
+        if len(subset) == n:
+            return None
+        return [field.zero if s in subset else -field.one for s in range(n)]
     strict = [s for s in range(n) if s not in subset]
     if subset:
         kernel = field.kernel([alphas[s] for s in subset])
@@ -164,7 +207,9 @@ def build_polytope(pairs, labels=None, mode=None, eps=DEFAULT_EPS):
 
     Checks: a_s(v_s) = 2, the pairing is a valid Cartan matrix, the cone has
     nonempty interior, no covector is redundant, and the representation is
-    reduced (the covectors span the dual space).
+    reduced (the covectors span the dual space).  On a line (vectors of
+    length 1) every hyperplane meets the cone in the empty face only, so
+    the redundancy check does not apply there.
     """
     alphas = [list(a) for a, _ in pairs]
     polars = [list(v) for _, v in pairs]
@@ -192,9 +237,10 @@ def build_polytope(pairs, labels=None, mode=None, eps=DEFAULT_EPS):
     interior = face_witness(alphas, (), field.mode, eps)
     if interior is None:
         raise EmptyInteriorError("the cone {a_s <= 0} has empty interior")
-    for s in range(n):
-        if face_witness(alphas, (s,), field.mode, eps) is None:
-            raise RedundantFacetError(f"covector {s} does not define a facet")
+    if dim > 1:
+        for s in range(n):
+            if face_witness(alphas, (s,), field.mode, eps) is None:
+                raise RedundantFacetError(f"covector {s} does not define a facet")
 
     return CoxeterPolytope(
         tuple(tuple(r) for r in alphas),
@@ -218,6 +264,16 @@ def tits_polytope(A: CartanMatrix) -> CoxeterPolytope:
 # faces
 
 
+def _restriction(P: CoxeterPolytope, subset):
+    """(restricted Cartan matrix, its TypeTag) on a sorted facet subset,
+    classified once per polytope."""
+    hit = P._restrictions.get(subset)
+    if hit is None:
+        link_cartan = restrict(P.cartan, subset)
+        hit = P._restrictions[subset] = (link_cartan, classify_type(link_cartan))
+    return hit
+
+
 def defines_face(P: CoxeterPolytope, subset) -> FaceDescriptor | None:
     """Face descriptor for the facet subset, or None if it defines no face.
 
@@ -228,8 +284,7 @@ def defines_face(P: CoxeterPolytope, subset) -> FaceDescriptor | None:
     for s in subset:
         if not 0 <= s < P.n:
             raise InputError(f"facet index {s} out of range")
-    link_cartan = restrict(P.cartan, subset)
-    link_type = classify_type(link_cartan)
+    link_cartan, link_type = _restriction(P, subset)
     if len(subset) == P.n:
         return FaceDescriptor(subset, -1, None, link_cartan, link_type)
     if not subset:
@@ -242,7 +297,8 @@ def defines_face(P: CoxeterPolytope, subset) -> FaceDescriptor | None:
 
 
 def enumerate_faces(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
-    """All proper faces plus the interior, ordered by (size, lex).
+    """All proper faces plus the interior, ordered by (size, lex), as a new
+    list read from the polytope's face table.
 
     The empty face is implicit except in the degenerate d = 0 case, where it
     is the only other stratum and is reported for visibility.
@@ -251,28 +307,29 @@ def enumerate_faces(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
         raise PolytopeError(
             f"face enumeration over {P.n} facets exceeds the cap {max_facets}"
         )
-    out = [defines_face(P, ())]
-    indices = range(P.n)
-    for size in range(1, P.n):
-        for subset in itertools.combinations(indices, size):
-            desc = defines_face(P, subset)
-            if desc is not None:
-                out.append(desc)
-    if P.dim == 0:
-        out.append(defines_face(P, tuple(indices)))
-    return out
+    return list(P.face_table)
+
+
+def vertex_faces(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
+    """Descriptors of the vertices (the faces of dimension 0)."""
+    return [f for f in enumerate_faces(P, max_facets) if f.dim == 0 and f.subset]
 
 
 def classify_face(P: CoxeterPolytope, subset) -> FaceClass:
-    """Elliptic / parabolic / loxodromic trichotomy of a face's link."""
+    """Elliptic / parabolic / loxodromic trichotomy of a face's link,
+    memoised per polytope."""
     subset = tuple(sorted(set(subset)))
-    link_cartan = restrict(P.cartan, subset)
-    tt = classify_type(link_cartan)
-    link_dim = P.field.rank([P.alphas[s] for s in subset]) - 1
-    cr = P.field.rank(link_cartan.rows())
-    parabolic = (cr == link_dim) if tt.overall == ZERO else None
-    loxodromic = (cr == link_dim + 1) if tt.overall == NEGATIVE else None
-    return FaceClass(tt.overall, parabolic, loxodromic, link_dim, cr)
+    fc = P._face_classes.get(subset)
+    if fc is None:
+        link_cartan, tt = _restriction(P, subset)
+        link_dim = P.field.rank([P.alphas[s] for s in subset]) - 1
+        cr = P.field.rank(link_cartan.rows())
+        parabolic = (cr == link_dim) if tt.overall == ZERO else None
+        loxodromic = (cr == link_dim + 1) if tt.overall == NEGATIVE else None
+        fc = P._face_classes[subset] = FaceClass(
+            tt.overall, parabolic, loxodromic, link_dim, cr
+        )
+    return fc
 
 
 def link(P: CoxeterPolytope, subset) -> CoxeterPolytope:
@@ -333,8 +390,7 @@ def bigger_face(P: CoxeterPolytope, t1, t2):
                 raise InputError("T1 must be orthogonal to T2")
     if defines_face(P, t1 + t2) is None:
         raise InputError("T1 u T2 does not define a face")
-    sub = restrict(P.cartan, t2)
-    tt = classify_type(sub)
+    _, tt = _restriction(P, t2)
     parts = {POSITIVE: [], ZERO: [], NEGATIVE: []}
     for block in tt.blocks:
         parts[block.tag].extend(t2[i] for i in block.indices)
@@ -437,15 +493,11 @@ def decompose(P: CoxeterPolytope):
 # perfection predicates
 
 
-def _vertices(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
-    return [f for f in enumerate_faces(P, max_facets) if f.dim == 0 and f.subset]
-
-
 def is_perfect(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
     """(flag, offending vertices): perfect when every vertex link is of
     positive type (elliptic)."""
     bad = tuple(
-        v for v in _vertices(P, max_facets) if v.link_type.overall != POSITIVE
+        v for v in vertex_faces(P, max_facets) if v.link_type.overall != POSITIVE
     )
     return (not bad, bad)
 
@@ -453,7 +505,7 @@ def is_perfect(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
 def is_quasiperfect(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
     """(flag, offending vertices): vertices must be elliptic or parabolic."""
     bad = []
-    for v in _vertices(P, max_facets):
+    for v in vertex_faces(P, max_facets):
         if v.link_type.overall == POSITIVE:
             continue
         fc = classify_face(P, v.subset)
@@ -466,7 +518,7 @@ def is_quasiperfect(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
 def is_2perfect(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
     """(flag, offending vertices): every vertex link must be perfect."""
     bad = []
-    for v in _vertices(P, max_facets):
+    for v in vertex_faces(P, max_facets):
         link_poly = link(P, v.subset)
         ok, _ = is_perfect(link_poly, max_facets)
         if not ok:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vinberg import cartan
 from vinberg.cartan import (
     MIXED,
     NEGATIVE,
@@ -90,6 +91,20 @@ def test_approx_near_zero_warns():
     tag = classify_type(validate_cartan([[2.0, -2.0 + delta], [-2.0, 2.0]]))
     assert tag.overall == ZERO
     assert any("within eps" in w for w in tag.warnings)
+
+
+def test_power_iteration_cap_warns(monkeypatch):
+    rows = [[2, -1, -1], [-1, 2, -3], [-1, -2, 2]]
+    for mode in ("exact", "approx"):
+        converged = classify_type(validate_cartan(rows, mode=mode))
+        assert converged.warnings == ()
+        monkeypatch.setattr(cartan, "_POWER_CAP", 3)
+        capped = classify_type(validate_cartan(rows, mode=mode))
+        monkeypatch.undo()
+        assert capped.overall == converged.overall == NEGATIVE
+        assert len(capped.warnings) == 1
+        assert capped.warnings[0].startswith("block (0, 1, 2): power iteration")
+        assert "did not converge in 3 steps" in capped.warnings[0]
 
 
 def test_irreducible_components_ignore_order():

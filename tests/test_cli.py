@@ -15,6 +15,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import corpus
+from vinberg import cli, decisions
 from vinberg.cli import run_command
 from vinberg.limits import sample_limit_set
 
@@ -149,6 +150,38 @@ def test_limit_set_csv_and_svg(tmp_path):
     svg = svg_path.read_text()
     assert _svg_metadata(svg) == {"kind": "points", "count": expected}
     assert svg.count("<circle") == expected and 'class="outline"' in svg
+
+
+def test_limit_set_near_ties_are_plain_lines(tmp_path, capsys):
+    # the (2, 3, inf) triangle has words with spectral gaps inside the margin
+    f = _doc(tmp_path, "t23inf")
+    args = ["limit-set", f, "--words", "8", "--count", "100", "--seed", "0",
+            "--out", str(tmp_path / "points.csv")]
+    assert run_command(args) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("spectral gap ")
+    assert all(line.startswith("spectral gap ") for line in err.splitlines())
+    assert "UserWarning" not in err and ".py:" not in err
+
+
+def test_route_disagreement_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # a vertex scan that finds nothing contradicts the negative face of t6
+    monkeypatch.setattr(decisions, "is_quasiperfect", lambda P: (True, ()))
+    assert run_command(["decide", "finite-volume", _doc(tmp_path, "t6")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: finite-volume routes disagree")
+    assert captured.err.count("\n") == 1
+
+
+def test_certificate_failure_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(P):
+        raise ArithmeticError("witness image sign mismatch\nat index 0")
+
+    monkeypatch.setitem(cli._QUESTIONS, "unique-domain", broken)
+    assert run_command(["decide", "unique-domain", _doc(tmp_path, "t237")]) == 1
+    err = capsys.readouterr().err
+    assert err == "internal error: witness image sign mismatch at index 0\n"
 
 
 def test_mode_env_and_flag(tmp_path, capsys, monkeypatch):
