@@ -14,6 +14,7 @@ criteria for Z-matrices and in approx mode by power iteration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -206,7 +207,7 @@ def restrict(A, subset):
 def _power_lambda(rows, eps):
     """(2 - rho(2I - A), Perron vector, converged) for an irreducible block,
     by power iteration; converged is False when the Rayleigh quotient still
-    moved by eps/10 or more at the step cap.
+    moved by eps/10 (at least 4 ulps of it) or more at the step cap.
 
     Iterates on 3I - A, which is nonnegative with positive diagonal, hence
     primitive on an irreducible block; the unshifted 2I - A can have paired
@@ -223,7 +224,8 @@ def _power_lambda(rows, eps):
         new = num / den
         norm = sum(abs(x) for x in w)
         v = [x / norm for x in w]
-        if abs(new - lam) < eps / 10.0:
+        # a few ulps of lambda floor the tolerance, so eps = 0 can stop too
+        if abs(new - lam) < max(eps / 10.0, 4.0 * sys.float_info.epsilon * abs(new)):
             return 3.0 - new, v, True
         lam = new
     return 3.0 - lam, v, False

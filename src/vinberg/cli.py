@@ -183,6 +183,7 @@ def _cmd_volume(args):
                 "stderr": e.stderr,
                 "samples": e.samples,
                 "seed": e.seed,
+                "outside": e.outside,
             }
             for e in seq.estimates
         ],

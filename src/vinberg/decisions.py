@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import NEGATIVE, classify_type, irreducible_components
+from .cartan import NEGATIVE, irreducible_components
 from .coxeter import LARGE, classify_group, coxeter_from_cartan
 from .polytope import (
     CoxeterPolytope,
+    _restriction,
     classify_face,
     decompose,
     enumerate_faces,
@@ -51,8 +52,14 @@ class Verdict:
     routes: tuple
 
 
+def _overall_type(P: CoxeterPolytope):
+    """Type of the whole Cartan matrix, classified once per polytope with
+    the face table's restrictions (the full subset)."""
+    return _restriction(P, tuple(range(P.n)))[1]
+
+
 def _require_negative(P: CoxeterPolytope):
-    tag = classify_type(P.cartan)
+    tag = _overall_type(P)
     if tag.overall != NEGATIVE:
         raise NotNegativeType(
             "question needs a negative-type system; this one is %s" % tag.overall
@@ -163,7 +170,7 @@ def decide_min_domain_equals_vinberg(P: CoxeterPolytope) -> Verdict:
     reports = []
     answer = True
     for factor, block in zip(factors, blocks):
-        negative = classify_type(factor.cartan).overall == NEGATIVE
+        negative = _overall_type(factor).overall == NEGATIVE
         qp, offenders = is_quasiperfect(factor)
         ok = negative and qp
         answer = answer and ok

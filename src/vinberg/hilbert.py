@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .polytope import CoxeterPolytope, vertex_faces
 from .scalars import InputError
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
-_HIT_CHUNK = 1024
+_DENSITY_CHUNK = 1024
 
 
 class GeometryError(InputError):
@@ -125,6 +126,33 @@ class HalfspaceBody:
         tm = np.where(neg, ratio, -np.inf).max(axis=2)
         return tp, tm
 
+    def norms(self, U, E):
+        """Finsler norms F(u, e) = (max_k r_k - min_k r_k) / 2, (points x
+        directions), where r_k = (a_k . e) / (b_k - a_k . u) is the polar
+        vertex a_k / (b_k - a_k . u) projected on e.
+
+        0 takes part in the max and the min, so a direction in which the body
+        is unbounded contributes 1/t = 0, as in `hits`; the facets are
+        accumulated one at a time, so no (points x directions x facets)
+        array is built."""
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        E = np.atleast_2d(np.asarray(E, dtype=float))
+        # facet-major rows, so each step reads contiguous memory
+        slack = self.b[:, None] - self.A @ U.T  # (K, n), > 0 inside
+        AE = self.A @ E.T  # (K, m)
+        AE[np.abs(AE) <= 1e-14] = 0.0  # parallel to the facet, as in `hits`
+        hi = np.zeros((U.shape[0], E.shape[0]))
+        lo = np.zeros_like(hi)
+        r = np.empty_like(hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a_e, s in zip(AE, slack):
+                np.divide(a_e[None, :], s[:, None], out=r)
+                np.maximum(hi, r, out=hi)
+                np.minimum(lo, r, out=lo)
+        hi -= lo
+        hi *= 0.5
+        return hi
+
     def bbox(self):
         if self.vertices is None:
             raise GeometryError("halfspace body without vertex list has no bbox")
@@ -165,6 +193,35 @@ class QuadricBody:
         tm = (-bq - root) / a[None, :]
         return tp, tm
 
+    def norms(self, U, E):
+        """Finsler norms F(u, e) = sqrt(e^T M e) / (-c), (points x
+        directions), with g = Q2 u + q1, c = q(u) and M = g g^T - c Q2: the
+        roots of q(u + t e) = 0 give 1/t+ - 1/t- = -2 sqrt(e^T M e) / c."""
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        E = np.atleast_2d(np.asarray(E, dtype=float))
+        ge = (U @ self.Q2 + self.q1) @ E.T  # (n, m)
+        c = self.value(U)  # (n,) < 0 inside
+        eQe = (E * (E @ self.Q2)).sum(axis=1)  # (m,)
+        eMe = ge * ge - c[:, None] * eQe[None, :]
+        return np.sqrt(np.maximum(eMe, 0.0)) / -c[:, None]
+
+    def densities(self, U):
+        """Busemann density sqrt(det M) / |c|^d in closed form.
+
+        The Finsler ball {w : w^T M w <= c^2} is an ellipsoid of volume
+        sigma_d |c|^d / sqrt(det M).  By the matrix determinant lemma,
+        det M = (-c)^(d-1) det(Q2) kappa with the constant kappa =
+        q1^T Q2^-1 q1 - q0 = -min q, which avoids the cancellation of det M
+        near the boundary, where M tends to the rank-one g g^T."""
+        return self._density_scale * (-self.value(U)) ** (-(self.dim + 1) / 2.0)
+
+    @cached_property
+    def _density_scale(self):
+        if np.linalg.eigvalsh(self.Q2).min() <= 0:
+            raise GeometryError("quadric body is unbounded in a ray direction")
+        kappa = float(self.q1 @ np.linalg.solve(self.Q2, self.q1)) - self.q0
+        return math.sqrt(np.linalg.det(self.Q2) * kappa)
+
     def bbox(self):
         # bounding box of the ellipsoid q < 0: center + semiaxis extents
         center = np.linalg.solve(self.Q2, -self.q1)
@@ -202,65 +259,67 @@ def finsler_norm(body, x, w):
     """F(x, w) = (1/t+ + 1/t-) / 2 with t the boundary hits along +-w."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
-    if not body.contains(x[None, :])[0]:
+    if not body.contains(x[None, :], tol=0.0)[0]:
         raise GeometryError("finsler_norm needs an interior point")
     if float(np.abs(w).max()) == 0.0:
         return 0.0
-    tp, tm = body.hits(x[None, :], w[None, :])
-    tp, tm = float(tp[0, 0]), float(tm[0, 0])
-    if not tm < 0.0 < tp:
+    F = float(body.norms(x[None, :], w[None, :])[0, 0])
+    if not math.isfinite(F):
         raise GeometryError("point is not interior along the given direction")
-    return 0.5 * (1.0 / tp + 1.0 / (-tm))
+    return F
 
 
+@lru_cache(maxsize=None)
 def _sphere_grid(d, angular):
-    """Quadrature nodes and weights for integrating r^d over directions.
+    """Quadrature nodes and weights for integrating r^d over directions,
+    read-only and built once per (d, angular).
 
     d=2: trapezoid on the half circle (the Finsler ball is symmetric);
     d=3: Gauss-Legendre in the polar cosine x trapezoid in azimuth."""
-    if d == 1:
-        return np.array([[1.0]]), np.array([1.0])
     if d == 2:
         m = angular
         theta = np.arange(m) * (math.pi / m)
         E = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        w = np.full(m, math.pi / m)
-        return E, w
-    if d == 3:
+        W = np.full(m, math.pi / m)
+    elif d == 3:
         n1 = max(4, angular // 16)
         n2 = angular
         nodes, wts = np.polynomial.legendre.leggauss(n1)
         theta = np.arange(n2) * (2.0 * math.pi / n2)
-        ct = np.cos(theta)
-        st = np.sin(theta)
-        E = []
-        W = []
-        for c, wc in zip(nodes, wts):
-            s = math.sqrt(max(0.0, 1.0 - c * c))
-            for j in range(n2):
-                E.append((s * ct[j], s * st[j], c))
-                W.append(wc * (2.0 * math.pi / n2))
-        return np.asarray(E), np.asarray(W)
-    raise GeometryError("quadrature implemented for d <= 3 only")
+        s = np.sqrt(np.maximum(0.0, 1.0 - nodes * nodes))
+        E = np.stack(
+            [
+                np.outer(s, np.cos(theta)).ravel(),
+                np.outer(s, np.sin(theta)).ravel(),
+                np.repeat(nodes, n2),
+            ],
+            axis=1,
+        )
+        W = np.repeat(wts * (2.0 * math.pi / n2), n2)
+    else:
+        raise GeometryError("quadrature implemented for d <= 3 only")
+    E.flags.writeable = False
+    W.flags.writeable = False
+    return E, W
 
 
 def busemann_densities(body, U, angular=256):
     """Busemann density sigma_d / Leb(B_u) at each chart point (vectorized).
 
-    The Finsler unit ball B_u is measured in polar coordinates with the
-    closed-form boundary radius r(e) = 1/F(u, e)."""
+    Conic bodies use the closed form (`QuadricBody.densities`), so `angular`
+    acts on halfspace bodies only.  There the Finsler unit ball B_u is
+    measured in polar coordinates with the boundary radius r(e) = 1/F(u, e)
+    on the `angular` quadrature grid; in d = 1, sigma_1 / Leb(B) = F(u, 1)."""
     U = np.atleast_2d(np.asarray(U, dtype=float))
+    if isinstance(body, QuadricBody):
+        return body.densities(U)
     d = U.shape[1]
     if d == 1:
-        tp, tm = body.hits(U, np.array([[1.0]]))
-        width = 1.0 / tp[:, 0] + 1.0 / (-tm[:, 0])
-        return width / 2.0  # sigma_1 / (t+ + t-) with Leb(B) = 2/(...)
+        return body.norms(U, np.array([[1.0]]))[:, 0]
     E, W = _sphere_grid(d, angular)
     out = np.empty(U.shape[0])
-    for start in range(0, U.shape[0], _HIT_CHUNK):
-        block = U[start : start + _HIT_CHUNK]
-        tp, tm = body.hits(block, E)
-        F = 0.5 * (1.0 / tp + 1.0 / (-tm))
+    for start in range(0, U.shape[0], _DENSITY_CHUNK):
+        F = body.norms(U[start : start + _DENSITY_CHUNK], E)
         r = 1.0 / np.maximum(F, 1e-300)
         if d == 2:
             # area = 1/2 int_0^2pi r^2; F is symmetric, so the half-circle
@@ -268,7 +327,7 @@ def busemann_densities(body, U, angular=256):
             ball = (r * r) @ W
         else:
             ball = (r ** 3) @ W / 3.0  # full-sphere grid
-        out[start : start + _HIT_CHUNK] = _UNIT_BALL_VOLUME[d] / ball
+        out[start : start + _DENSITY_CHUNK] = _UNIT_BALL_VOLUME[d] / ball
     return out
 
 

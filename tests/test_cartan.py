@@ -1,5 +1,6 @@
 """Cartan matrix validation, the type trichotomy, and sign witnesses."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,19 @@ def test_power_iteration_cap_warns(monkeypatch):
         assert len(capped.warnings) == 1
         assert capped.warnings[0].startswith("block (0, 1, 2): power iteration")
         assert "did not converge in 3 steps" in capped.warnings[0]
+
+
+def test_power_iteration_stops_at_eps_zero(monkeypatch):
+    # with eps = 0 the stop test falls back to a few ulps of lambda; the cap
+    # is lowered so that a regression fails fast instead of running 1e5 steps
+    rows = [[2, -1, -1], [-1, 2, -3], [-1, -2, 2]]  # corpus t6
+    monkeypatch.setattr(cartan, "_POWER_CAP", 1000)  # t6 needs 32 steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tag = classify_type(validate_cartan(rows, mode="exact", eps=0.0))
+    assert tag.overall == NEGATIVE and tag.warnings == ()
+    default = classify_type(validate_cartan(rows, mode="exact"))
+    assert abs(tag.blocks[0].lam - default.blocks[0].lam) <= 1e-9
 
 
 def test_irreducible_components_ignore_order():

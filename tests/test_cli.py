@@ -96,6 +96,8 @@ def test_volume_report(tmp_path, capsys):
         assert entry["depth"] == depth and entry["seed"] == 1
         assert entry["value"] > 0 and entry["stderr"] > 0
         assert entry["samples"] >= 5000
+        # inner hulls of tile rays lie inside the domain: no sample is lost
+        assert entry["outside"] == 0
     assert len(report["pairwise_diffs"]) == 2
     # deterministic rerun
     assert run_command(args) == 0

@@ -1,8 +1,9 @@
 """The face table: computed once per polytope, closed form for dual-basis
 covectors, exact LP otherwise.
 
-The LP counts below are machine-independent performance gates: they fail
-when a change makes a scan solve an LP again, whatever the wall time.
+The LP and `classify_type` counts below are machine-independent performance
+gates: they fail when a change makes a scan solve an LP or type a matrix
+again, whatever the wall time.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import corpus
-from vinberg import polytope
+from vinberg import cartan, coxeter, decisions, polytope
 from vinberg.cartan import validate_cartan
 from vinberg.decisions import (
     NotNegativeType,
@@ -127,6 +128,44 @@ def test_lattice_is_enumerated_once(build, lp_count):
     for face in enumerate_faces(Q):
         classify_face(Q, face.subset)
     assert lp_count[0] == lps_build + lps_enumeration
+
+
+# classify_type calls of the four decisions on a fresh corpus polytope: one
+# per facet subset of the face table (the full subset included, which the
+# negative-type guard reads), one for the Gram matrix of the group class, and
+# for a join the face tables of its factors
+TYPE_CALLS = {
+    "aff": 9,
+    "join_inf_inf": 81,
+    "join_inf_seg": 45,
+    "r4a": 17,
+    "r4b": 17,
+    "seg": 5,
+    "t237": 9,
+    "t23inf": 9,
+    "t45": 9,
+    "t6": 9,
+    "t9": 9,
+    "tinf": 9,
+}
+
+
+@pytest.mark.parametrize("name", sorted(corpus._BUILDERS))
+def test_decisions_type_each_subset_once(name, monkeypatch):
+    calls = [0]
+    original = cartan.classify_type
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for module in (cartan, polytope, coxeter, decisions):
+        monkeypatch.setattr(module, "classify_type", counted, raising=False)
+    P = corpus._BUILDERS[name]()
+    _decide_all(P)
+    assert calls[0] == TYPE_CALLS[name]
+    if polytope.decompose(P) is None:
+        assert calls[0] == len(P._restrictions) + 1
 
 
 def test_closed_form_witness_equals_lp(monkeypatch):

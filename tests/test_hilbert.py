@@ -19,8 +19,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import corpus
 from vinberg.hilbert import (
+    _UNIT_BALL_VOLUME,
     Chart,
     GeometryError,
+    HalfspaceBody,
+    QuadricBody,
+    _sphere_grid,
+    busemann_densities,
     busemann_density,
     clip_halfplanes,
     conic_body,
@@ -96,6 +101,94 @@ def test_busemann_density_profile():
     for r in (0.3, 0.5, 0.7):
         ratio = busemann_density(disk, [r, 0.0], angular=512) / d0
         assert abs(ratio - (1 - r * r) ** -1.5) <= 1e-9
+
+
+def _convex_polygon(rng, k):
+    """k-gon with vertices at sorted random angles on a random ellipse."""
+    ang = np.sort(rng.uniform(0, 2 * np.pi, k))
+    a, b = rng.uniform(1.0, 3.0, 2)
+    return polygon_body(np.stack([a * np.cos(ang), b * np.sin(ang)], axis=1))
+
+
+@pytest.mark.parametrize("k", [3, 12, 100])
+def test_polygon_norms_match_hits(k):
+    rng = np.random.Generator(np.random.Philox(key=[31, k]))
+    body = _convex_polygon(rng, k) if k > 3 else polygon_body([(0, 0), (2, 0.5), (0.3, 1.7)])
+    assert body.A.shape[0] == k
+    theta = rng.uniform(0, np.pi, 40)
+    E = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    edge = body.vertices[1] - body.vertices[0]
+    E = np.vstack([E, edge / np.linalg.norm(edge)])  # parallel to facet 0
+    assert abs(E[-1] @ body.A[0]) <= 1e-14  # the masked case
+    # interior points: convex combinations of the vertices
+    weights = rng.dirichlet(np.ones(k), 30)
+    U = weights @ body.vertices
+    tp, tm = body.hits(U, E)
+    want = 0.5 * (1.0 / tp + 1.0 / (-tm))
+    got = body.norms(U, E)
+    assert got.shape == want.shape == (30, 41)
+    assert np.abs(got / want - 1).max() <= 1e-13
+
+
+def test_polygon_norms_of_an_unbounded_body():
+    # a half-plane: the open side contributes 1/t = 0, as in `hits`
+    half = HalfspaceBody([[1.0, 0.0]], [1.0])
+    E = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+    assert half.norms([[0.0, 0.0]], E).tolist() == [[0.5, 0.5, 0.0]]
+
+
+def _quadrature_densities(body, U, angular):
+    """Busemann densities by quadrature of the chord lengths from `hits`."""
+    d = U.shape[1]
+    E, W = _sphere_grid(d, angular)
+    tp, tm = body.hits(U, E)
+    r = 1.0 / (0.5 * (1.0 / tp + 1.0 / (-tm)))
+    ball = (r * r) @ W if d == 2 else (r ** 3) @ W / 3.0
+    return _UNIT_BALL_VOLUME[d] / ball
+
+
+@pytest.mark.parametrize("d, tol", [(2, 1e-12), (3, 1e-10)])
+def test_conic_density_closed_form_matches_quadrature(d, tol):
+    # d = 3: Gauss-Legendre in the polar cosine converges more slowly as the
+    # Finsler ball flattens near the boundary (off by 3e-9 at radius 0.99 of
+    # the unit ball with angular=1024), so the points keep q(u) <= -0.05
+    rng = np.random.Generator(np.random.Philox(key=[17, d]))
+    B = rng.standard_normal((d, d))
+    Q2 = B @ B.T + d * np.eye(d)
+    centre = 0.3 * rng.standard_normal(d)
+    q1 = -Q2 @ centre
+    body = QuadricBody(Q2, q1, float(centre @ Q2 @ centre) - 1.0)
+    U = centre + rng.uniform(-0.6, 0.6, (1000, d))
+    U = U[body.value(U) <= -0.05][:20]
+    assert len(U) == 20
+    closed = busemann_densities(body, U)
+    assert np.abs(closed / _quadrature_densities(body, U, 1024) - 1).max() <= tol
+    # the closed form ignores `angular` on conics
+    assert (busemann_densities(body, U, angular=16) == closed).all()
+    saddle = QuadricBody(np.diag([1.0] + [-1.0] * (d - 1)), np.zeros(d), -1.0)
+    with pytest.raises(GeometryError):
+        busemann_densities(saddle, np.zeros((1, d)))
+    disk = unit_disk(d)
+    for r in (0.3, 0.9, 0.999):
+        u = np.zeros((1, d))
+        u[0, 0] = r
+        want = (1 - r * r) ** (-(d + 1) / 2)
+        assert abs(busemann_densities(disk, u)[0] / want - 1) <= 1e-12
+
+
+def test_finsler_norm_on_a_polygon():
+    square = _square(1.0)
+    assert finsler_norm(square, [0.0, 0.0], [1.0, 0.0]) == 1.0
+    # chord from -1 to 1 through 0.5: hits at t = 0.5 and t = -1.5
+    assert abs(finsler_norm(square, [0.5, 0.0], [1.0, 0.0]) - 4.0 / 3.0) <= 1e-15
+    x, w = np.array([0.2, -0.1]), np.array([0.3, 0.4])
+    F = finsler_norm(square, x, w)
+    assert abs(F - finsler_norm(square, x, -w)) <= 1e-15
+    assert abs(finsler_norm(square, x, 2 * w) - 2 * F) <= 1e-15
+    t = 1e-6
+    assert abs(hilbert_distance(square, x, x + t * w) / t - F) <= 1e-4 * F
+    with pytest.raises(GeometryError):
+        finsler_norm(square, [1.0, 0.0], [1.0, 0.0])  # on the boundary
 
 
 def test_clip_halfplanes_builds_vertices():
