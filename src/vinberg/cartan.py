@@ -69,13 +69,6 @@ class CartanMatrix:
     def rows(self):
         return [list(r) for r in self.entries]
 
-    def is_symmetric(self):
-        return all(
-            self.entries[s][t] == self.entries[t][s]
-            for s in range(self.n)
-            for t in range(s + 1, self.n)
-        )
-
 
 @dataclass(frozen=True)
 class BlockType:
@@ -104,7 +97,8 @@ def _pair_order(product, field):
     """Coxeter order m_st from the off-diagonal product, or None if invalid.
 
     Exact products are looked up among the rational values of 4cos^2(pi/k);
-    float products are inverted through acos within eps."""
+    float products are inverted through acos within eps, floored at a few
+    ulps of 4 so that eps = 0 still accepts the rounded float 4cos^2(pi/k)."""
     if field.exact:
         if product >= 4:
             return INFINITY
@@ -112,17 +106,17 @@ def _pair_order(product, field):
             return RATIONAL_COS_PRODUCTS[product]
         return None
     p = float(product)
-    eps = field.eps
-    if p >= 4.0 - eps:
+    tol = max(field.eps, 4.0 * math.ulp(4.0))
+    if p >= 4.0 - tol:
         return INFINITY
-    if abs(p) <= eps:
+    if abs(p) <= tol:
         return 2
     if p < 0:
         return None
     # p = 4cos^2(pi/k) ==> k = pi / acos(sqrt(p)/2)
     k_guess = math.pi / math.acos(math.sqrt(p) / 2.0)
     for k in {round(k_guess), round(k_guess) - 1, round(k_guess) + 1}:
-        if k >= 2 and abs(p - 4.0 * math.cos(math.pi / k) ** 2) <= eps:
+        if k >= 2 and abs(p - 4.0 * math.cos(math.pi / k) ** 2) <= tol:
             return k
     return None
 

@@ -16,10 +16,9 @@ import sys
 import warnings
 from dataclasses import asdict
 
-from .cartan import CartanValidationError, classify_type, irreducible_components
+from .cartan import classify_type, irreducible_components
 from .coxeter import classify_group, coxeter_from_cartan
 from .decisions import (
-    NotNegativeType,
     RouteDisagreement,
     decide_finite_volume,
     decide_min_domain_equals_vinberg,
@@ -30,7 +29,7 @@ from .hilbert import GeometryError, volume_sequence, witness_chart
 from .limits import hull_of_limit_set, sample_limit_set
 from .linprog import LPError
 from .orbits import domain_approx, representation_report
-from .polytope import PolytopeError, classify_face, enumerate_faces
+from .polytope import classify_face, enumerate_faces
 from .scalars import APPROX, EXACT, InputError, default_mode
 from .svg import conic_loop, render_points_svg, render_tiling_svg
 
@@ -39,7 +38,6 @@ EXIT_INTERNAL = 1
 EXIT_NO = 3
 EXIT_INPUT = 2
 
-_INPUT_ERRORS = (InputError, CartanValidationError, PolytopeError, GeometryError)
 _INTERNAL_ERRORS = (RouteDisagreement, ArithmeticError, LPError)
 
 
@@ -313,13 +311,7 @@ def run_command(argv) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except NotNegativeType as exc:
-        sys.stderr.write("input error: %s\n" % exc)
-        return EXIT_INPUT
-    except _INPUT_ERRORS as exc:
-        sys.stderr.write("input error: %s\n" % exc)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return EXIT_INPUT
     except _INTERNAL_ERRORS as exc:

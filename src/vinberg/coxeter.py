@@ -42,9 +42,6 @@ class CoxeterMatrix:
     def n(self):
         return len(self.orders)
 
-    def order(self, s, t):
-        return self.orders[s][t]
-
 
 @dataclass(frozen=True)
 class GroupClass:

@@ -7,6 +7,8 @@ decimals as floats, "inf" as the infinite order/product marker.
 
 Reports are emitted through `canonical_json`, which sorts keys and rounds
 floats to 12 significant digits so identical runs produce identical bytes.
+Input documents are written back by `serialize`, which keeps every float at
+full (shortest round-trip) precision so that parsing returns the document.
 """
 
 from __future__ import annotations
@@ -162,8 +164,6 @@ def _plain(value):
         if value.denominator == 1:
             return int(value)
         return "%d/%d" % (value.numerator, value.denominator)
-    if isinstance(value, float):
-        return _round12(value)
     return value
 
 
@@ -181,7 +181,7 @@ def serialize(doc: InputDocument) -> str:
         obj["mode"] = doc.mode
     if doc.labels is not None:
         obj["labels"] = list(doc.labels)
-    return canonical_json(obj)
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def build(doc: InputDocument, mode=None, eps=1e-9):

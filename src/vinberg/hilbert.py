@@ -13,7 +13,7 @@ Everything is vectorized over sample points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -23,7 +23,8 @@ from .polytope import CoxeterPolytope, vertex_faces
 from .scalars import InputError
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
-_DENSITY_CHUNK = 1024
+_DENSITY_CHUNK = 64  # points per polygon `norms` call, one stratum's worth
+_GROUP = 1024  # strata drawn and summed at once; bounds the points held
 
 
 class GeometryError(InputError):
@@ -352,23 +353,50 @@ class VolumeEstimate:
     outside: int  # target samples where the domain oracle failed
 
 
-def _strata(bbox_lo, bbox_hi, samples):
-    d = len(bbox_lo)
+def _stratum_groups(lo, hi, samples, seed):
+    """Stratified sample of the box [lo, hi], _GROUP strata at a time.
+
+    The box is cut into k^d equal strata of about 64 points each, numbered in
+    np.ndindex (C) order; stratum i draws its `per` points from its own
+    Philox(key=[seed, i]) stream, so the points depend on (seed, samples)
+    only, not on the grouping.  Yields (cell_vol, points) with points a
+    (strata, per, d) array."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    d = len(lo)
     k = max(1, int(round((samples / 64.0) ** (1.0 / d))))
-    edges = [np.linspace(bbox_lo[i], bbox_hi[i], k + 1) for i in range(d)]
-    cells = []
-    for idx in np.ndindex(*(k,) * d):
-        lo = np.array([edges[i][idx[i]] for i in range(d)])
-        hi = np.array([edges[i][idx[i] + 1] for i in range(d)])
-        cells.append((lo, hi))
-    per = int(math.ceil(samples / len(cells)))
-    return cells, per
+    edges = np.array([np.linspace(lo[i], hi[i], k + 1) for i in range(d)])
+    per = int(math.ceil(samples / k**d))
+    cell_vol = float(np.prod(edges[:, 1] - edges[:, 0]))
+    axes = np.arange(d)
+    for start in range(0, k**d, _GROUP):
+        ids = range(start, min(start + _GROUP, k**d))
+        idx = np.stack(np.unravel_index(np.asarray(ids), (k,) * d), axis=1)
+        cell_lo = edges[axes, idx][:, None, :]  # (strata, 1, d)
+        pts = np.empty((len(ids), per, d))
+        for i, stratum in zip(ids, pts):
+            np.random.Generator(np.random.Philox(key=[seed, i])).random(out=stratum)
+        pts *= edges[axes, idx + 1][:, None, :] - cell_lo
+        pts += cell_lo
+        yield cell_vol, pts
 
 
-def _sample_cell(seed, cell_index, lo, hi, count):
-    rng = np.random.Generator(np.random.Philox(key=[seed, cell_index]))
-    pts = rng.random((count, len(lo)))
-    return lo[None, :] + pts * (hi - lo)[None, :]
+def _stratum_sums(values, cell_vol, sums=None):
+    """Add a group of strata to the running stratified sums.
+
+    `values` is (..., strata, per); returns the pair (sum of cell_vol * mean,
+    sum of cell_vol^2 * var / per) over `sums` and the strata, with zero
+    variance when per == 1.  The strata are added left to right, in stratum
+    order: numpy's pairwise reduction would move the last bits."""
+    per = values.shape[-1]
+    mean = values.mean(axis=-1)
+    var = values.var(axis=-1, ddof=1) if per > 1 else np.zeros_like(mean)
+    if sums is None:
+        sums = (np.zeros(mean.shape[:-1]),) * 2
+    return tuple(
+        np.cumsum(np.concatenate([acc[..., None], terms], axis=-1), axis=-1)[..., -1]
+        for acc, terms in zip(sums, (cell_vol * mean, cell_vol**2 * var / per))
+    )
 
 
 def estimate_volume(
@@ -379,9 +407,8 @@ def estimate_volume(
     `domain` may be a chart body or a DomainApprox+Chart pair prepared with
     `inner_hull_body`.  Deterministic in (seed, samples): the sampler is a
     counter-based generator keyed by (seed, stratum)."""
-    ests = paired_volumes([domain], target, samples, seed, angular, bbox=bbox)
-    est = ests[0]
-    return VolumeEstimate(est.value, est.stderr, est.samples, depth, seed, est.outside)
+    (est,) = paired_volumes([domain], target, samples, seed, angular, bbox=bbox)
+    return replace(est, depth=depth)
 
 
 def paired_volumes(
@@ -397,75 +424,48 @@ def paired_volumes(
 
 
 def _paired_mc(domains, target, samples, seed, angular, bbox, nesting):
-    if bbox is None:
-        lo, hi = target.bbox()
-    else:
-        lo, hi = (np.asarray(bbox[0], float), np.asarray(bbox[1], float))
-    cells, per = _strata(lo, hi, samples)
+    lo, hi = target.bbox() if bbox is None else bbox
     nb = len(domains)
-    totals = np.zeros(nb)
-    variances = np.zeros(nb)
-    diff_totals = np.zeros(max(nb - 1, 0))
-    diff_variances = np.zeros(max(nb - 1, 0))
+    small, big = slice(None, -1), slice(1, None)  # of each neighbouring pair
+    if nesting == "decreasing":
+        small, big = big, small
     outside = np.zeros(nb, dtype=int)
-    total_samples = 0
-    cell_vol = float(np.prod(cells[0][1] - cells[0][0]))
-    dens_buf = np.zeros((nb, per))
-    ok_buf = np.zeros((nb, per), dtype=bool)
-    for ci, (clo, chi) in enumerate(cells):
-        pts = _sample_cell(seed, ci, clo, chi, per)
-        total_samples += per
-        mask = target.contains(pts)
-        dens_buf[:] = 0.0
-        ok_buf[:] = False
-        if mask.any():
-            inside_pts = pts[mask]
-            for bi, dom in enumerate(domains):
-                ok = dom.contains(inside_pts)
-                vals = np.zeros(inside_pts.shape[0])
-                if ok.any():
-                    vals[ok] = busemann_densities(dom, inside_pts[ok], angular)
-                outside[bi] += int((~ok).sum())
-                dens_buf[bi][mask] = vals
-                ok_buf[bi][mask] = ok
-        if nesting in ("increasing", "decreasing") and nb > 1:
-            order = range(nb) if nesting == "increasing" else range(nb - 1, -1, -1)
-            order = list(order)
-            for small, big in zip(order[:-1], order[1:]):
-                # the bigger domain must contain every sample the smaller
-                # does, with pointwise smaller densities
-                if (ok_buf[small] & ~ok_buf[big]).any():
-                    raise GeometryError("domain nesting violated at a sample point")
-                both = ok_buf[small] & ok_buf[big]
-                bad = both & (
-                    dens_buf[big] > dens_buf[small] * (1 + 1e-6) + 1e-9
-                )
-                if bad.any():
-                    raise GeometryError("domain nesting violated at a sample point")
-        m = dens_buf.mean(axis=1)
-        v = dens_buf.var(axis=1, ddof=1) if per > 1 else np.zeros(nb)
-        totals += cell_vol * m
-        variances += (cell_vol ** 2) * v / per
-        if nb > 1:
-            deltas = dens_buf[1:] - dens_buf[:-1]  # per-sample paired diffs
-            diff_totals += cell_vol * deltas.mean(axis=1)
-            dv = deltas.var(axis=1, ddof=1) if per > 1 else np.zeros(nb - 1)
-            diff_variances += (cell_vol ** 2) * dv / per
+    sums = None
+    drawn = 0
+    for cell_vol, pts in _stratum_groups(lo, hi, samples, seed):
+        strata, per, _ = pts.shape
+        drawn += strata * per
+        flat = pts.reshape(strata * per, -1)
+        where = np.flatnonzero(target.contains(flat))
+        dens = np.zeros((nb, strata * per))
+        ok = np.zeros((nb, strata * per), dtype=bool)
+        for bi, dom in enumerate(domains):
+            hit = dom.contains(flat[where])
+            outside[bi] += int((~hit).sum())
+            if hit.any():
+                ok[bi, where[hit]] = True
+                dens[bi, ok[bi]] = busemann_densities(dom, flat[ok[bi]], angular)
+        if nesting in ("increasing", "decreasing") and (
+            # the bigger domain must contain every sample the smaller does,
+            # with pointwise smaller densities
+            ok[small] & (~ok[big] | (dens[big] > dens[small] * (1 + 1e-6) + 1e-9))
+        ).any():
+            raise GeometryError("domain nesting violated at a sample point")
+        # per-sample paired differences ride along with the densities
+        values = np.concatenate([dens, dens[1:] - dens[:-1]])
+        sums = _stratum_sums(values.reshape(-1, strata, per), cell_vol, sums)
+    totals, variances = sums
     ests = [
         VolumeEstimate(
-            float(totals[bi]),
-            float(math.sqrt(variances[bi])),
-            total_samples,
-            None,
-            seed,
+            float(totals[bi]), float(math.sqrt(variances[bi])), drawn, None, seed,
             int(outside[bi]),
         )
         for bi in range(nb)
     ]
     return (
         ests,
-        [float(x) for x in diff_totals],
-        [float(math.sqrt(x)) for x in diff_variances],
+        [float(x) for x in totals[nb:]],
+        [float(math.sqrt(x)) for x in variances[nb:]],
     )
 
 
@@ -676,10 +676,7 @@ def volume_sequence(P, depths, samples, seed, side="inner", angular=256):
     ests, diffs, dstd = _paired_mc(
         bodies, target, samples, seed, angular, None, nesting
     )
-    ests = [
-        VolumeEstimate(e.value, e.stderr, e.samples, N, seed, e.outside)
-        for e, N in zip(ests, depths)
-    ]
+    ests = [replace(e, depth=N) for e, N in zip(ests, depths)]
     return VolumeSequence(
         side, tuple(depths), tuple(ests), tuple(diffs), tuple(dstd)
     )
@@ -713,7 +710,6 @@ def join_divergence_probe(
     Monte-Carlo error and the partial sums grow linearly — the numerical
     signature of infinite volume."""
     e1_mask = np.asarray(e1_mask, dtype=bool)
-    dim = len(e1_mask)
     hmat = np.diag(np.where(e1_mask, 2.0, 1.0))
     hinv = np.linalg.inv(hmat)
 
@@ -735,23 +731,18 @@ def join_divergence_probe(
         return k
 
     lo, hi = target.bbox()
-    cells, per = _strata(lo, hi, samples)
-    cell_vol = float(np.prod(cells[0][1] - cells[0][0]))
-    sums = np.zeros(slabs)
-    variances = np.zeros(slabs)
-    for ci, (clo, chi) in enumerate(cells):
-        pts = _sample_cell(seed, ci, clo, chi, per)
-        k = slab_index(pts)
-        dens = np.zeros(per)
+    sums = None
+    for cell_vol, pts in _stratum_groups(lo, hi, samples, seed):
+        strata, per, _ = pts.shape
+        flat = pts.reshape(strata * per, -1)
+        k = slab_index(flat)
+        dens = np.zeros(strata * per)
         sel = k >= 0
         if sel.any():
-            dens[sel] = busemann_densities(omega_body, pts[sel], angular)
-        for slab in range(slabs):
-            vals = np.where((k == slab) & sel, dens, 0.0)
-            m = vals.mean()
-            v = vals.var(ddof=1) if per > 1 else 0.0
-            sums[slab] += cell_vol * m
-            variances[slab] += (cell_vol ** 2) * v / per
+            dens[sel] = busemann_densities(omega_body, flat[sel], angular)
+        vals = np.where(k == np.arange(slabs)[:, None], dens, 0.0)
+        sums = _stratum_sums(vals.reshape(slabs, strata, per), cell_vol, sums)
+    sums, variances = sums
     partial = np.cumsum(sums)
     return SlabReport(
         tuple(float(x) for x in sums),

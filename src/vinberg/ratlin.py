@@ -35,10 +35,6 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def scale(v, c):
-    return [c * x for x in v]
-
-
 def rref(m):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     rows = [list(r) for r in m]

@@ -121,6 +121,19 @@ def test_power_iteration_stops_at_eps_zero(monkeypatch):
     assert abs(tag.blocks[0].lam - default.blocks[0].lam) <= 1e-9
 
 
+def test_float_products_validate_at_eps_zero():
+    # the float 4cos^2(pi/k) is 1, 2 or 3 plus an ulp for k = 3, 4, 6; a few
+    # ulps of 4 floor the tolerance, so eps = 0 accepts the integer products
+    rows = [[2, -1, -1], [-1, 2, -3], [-1, -2, 2]]  # corpus t6
+    A = validate_cartan(rows, mode="approx", eps=0)
+    assert A.orders == ((1, 3, 3), (3, 1, INFINITY), (3, INFINITY, 1))
+    B = validate_cartan([[2, -1], [-2, 2]], mode="approx", eps=0)
+    C = validate_cartan([[2, -1], [-3, 2]], mode="approx", eps=0)
+    assert B.orders[0][1] == 4 and C.orders[0][1] == 6
+    with pytest.raises(CartanValidationError):
+        validate_cartan([[2, -1], [-1.1, 2]], mode="approx", eps=0)
+
+
 def test_irreducible_components_ignore_order():
     A = validate_cartan([[2, 0, -1], [0, 2, 0], [-1, 0, 2]])
     assert irreducible_components(A) == [(0, 2), (1,)]

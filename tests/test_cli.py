@@ -51,6 +51,13 @@ def test_validate_rejects_bad_cartan(tmp_path, capsys):
     assert "input error:" in capsys.readouterr().err
 
 
+def test_validate_float_document_at_eps_zero(tmp_path, capsys):
+    args = ["validate", "--mode", "approx", "--eps", "0", _doc(tmp_path, "t6")]
+    assert run_command(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is True and report["mode"] == "approx"
+
+
 def test_decide_exit_codes(tmp_path, capsys):
     assert run_command(["decide", "finite-volume", _doc(tmp_path, "t237")]) == 0
     assert json.loads(capsys.readouterr().out)["answer"] is True

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -24,7 +25,49 @@ from vinberg.formats import (
     serialize,
     write_csv,
 )
-from vinberg.scalars import INFINITY, InputError
+from vinberg.scalars import APPROX, EXACT, INFINITY, InputError
+
+# Fixed example sets keep the suite deterministic and its runtime bounded.
+FAST = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# document scalars as `parse` normalizes them: "p/q" with q > 1 stays a
+# Fraction, q = 1 becomes an int
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(2, 9)).filter(
+    lambda x: x.denominator > 1
+)
+scalars = st.one_of(
+    st.integers(-10**20, 10**20),
+    fractions,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.just(INFINITY),
+)
+orders = st.one_of(st.integers(1, 12), st.just(INFINITY))
+
+
+def _square(n, entries):
+    row = st.lists(entries, min_size=n, max_size=n).map(tuple)
+    return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+
+def _generators(n):
+    vec = st.lists(scalars, min_size=n, max_size=n).map(tuple)
+    return st.lists(st.tuples(vec, vec), min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("coxeter_matrix", "cartan_matrix", "generators")))
+    if kind == "coxeter_matrix":
+        payload = draw(_square(n, orders))
+    elif kind == "cartan_matrix":
+        payload = draw(_square(n, scalars))
+    else:
+        payload = draw(_generators(n))
+    size = n if kind != "generators" else len(payload)
+    mode = draw(st.sampled_from((None, EXACT, APPROX)))
+    labels = draw(st.one_of(st.none(), st.lists(st.text(), min_size=size, max_size=size)))
+    return InputDocument(kind, payload, mode, None if labels is None else tuple(labels))
 
 
 @pytest.mark.parametrize("name", sorted(corpus.DOCS))
@@ -36,6 +79,18 @@ def test_round_trip_over_corpus(name):
     Q = corpus.build(name)
     assert P.mode == Q.mode and P.labels == Q.labels
     assert P.cartan.entries == Q.cartan.entries
+
+
+@FAST
+@given(documents())
+def test_parse_inverts_serialize(doc):
+    assert parse(serialize(doc)) == doc
+
+
+def test_serialize_keeps_full_float_precision():
+    doc = parse_obj({"cartan_matrix": [[2, -1.2345678901234567], [-0.1, 2]]})
+    assert parse(serialize(doc)) == doc
+    assert "-1.2345678901234567" in serialize(doc)
 
 
 def test_generator_documents():

@@ -18,6 +18,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import corpus
+from vinberg import hilbert
 from vinberg.hilbert import (
     _UNIT_BALL_VOLUME,
     Chart,
@@ -211,6 +212,82 @@ def test_estimate_volume_is_deterministic():
     e2 = estimate_volume(_square(1.0), _square(0.3), samples=30000, seed=11)
     assert e1 == e2
     assert e1.stderr > 0 and e1.samples >= 30000 and e1.outside == 0
+
+
+@pytest.mark.parametrize(
+    "lo, hi, samples", [([0.0], [2.0], 500), ([-1.0, 0.5], [1.0, 2.0], 5000),
+                        ([0.0, 0.0, -1.0], [1.0, 3.0, 1.0], 3000)]
+)
+def test_stratum_sampler_contract(monkeypatch, lo, hi, samples):
+    # stratum i is Philox(key=[seed, i]) mapped into the i-th box of the
+    # k^d grid in np.ndindex order, whatever the grouping of the strata
+    monkeypatch.setattr(hilbert, "_GROUP", 5)
+    groups = list(hilbert._stratum_groups(lo, hi, samples, seed=13))
+    assert all(pts.shape[0] <= 5 for _, pts in groups)
+    pts = np.concatenate([p for _, p in groups])
+    d = len(lo)
+    k = round(pts.shape[0] ** (1.0 / d))
+    per = pts.shape[1]
+    assert pts.shape == (k**d, per, d) and per == math.ceil(samples / k**d)
+    edges = [np.linspace(lo[i], hi[i], k + 1) for i in range(d)]
+    for i, idx in enumerate(np.ndindex(*(k,) * d)):
+        box_lo = np.array([edges[j][idx[j]] for j in range(d)])
+        box_hi = np.array([edges[j][idx[j] + 1] for j in range(d)])
+        unit = np.random.Generator(np.random.Philox(key=[13, i])).random((per, d))
+        assert np.array_equal(pts[i], box_lo + unit * (box_hi - box_lo))
+    cell_vol = groups[0][0]
+    assert cell_vol == np.prod([e[1] - e[0] for e in edges])
+
+
+@pytest.mark.parametrize("per", [1, 2, 64])
+def test_stratum_sums_match_the_per_stratum_loop(per):
+    # reference: one stratum at a time, as mean and variance of its samples
+    values = np.random.default_rng(per).exponential(size=(3, 50, per))
+    cell_vol = 0.37
+    total, variance = np.zeros(3), np.zeros(3)
+    for i in range(50):
+        v = values[:, i].var(axis=1, ddof=1) if per > 1 else np.zeros(3)
+        total += cell_vol * values[:, i].mean(axis=1)
+        variance += cell_vol**2 * v / per
+    sums = None
+    for start, stop in ((0, 7), (7, 30), (30, 50)):
+        sums = hilbert._stratum_sums(values[:, start:stop], cell_vol, sums)
+    assert np.array_equal(sums[0], total) and np.array_equal(sums[1], variance)
+
+
+def test_estimates_do_not_depend_on_the_grouping(monkeypatch):
+    P = corpus.build("t237")
+    chart = witness_chart(P)
+    body, target = conic_body(P, chart), fundamental_target(P, chart)
+    one = estimate_volume(body, target, samples=20000, seed=3)
+    seq_one = volume_sequence(corpus.t601(), depths=(2, 4), samples=3000, seed=5,
+                              side="outer", angular=64)
+    monkeypatch.setattr(hilbert, "_GROUP", 7)
+    many = estimate_volume(body, target, samples=20000, seed=3)
+    seq_many = volume_sequence(corpus.t601(), depths=(2, 4), samples=3000, seed=5,
+                               side="outer", angular=64)
+    # the strata are summed in the same order; only the BLAS products of the
+    # density kernels see other batches, which may move the last bits
+    assert (many.samples, many.outside) == (one.samples, one.outside)
+    assert many.value == pytest.approx(one.value, rel=1e-13)
+    assert many.stderr == pytest.approx(one.stderr, rel=1e-12)
+    for a, b in zip(seq_many.estimates + tuple(seq_many.diffs),
+                    seq_one.estimates + tuple(seq_one.diffs)):
+        if isinstance(a, float):
+            assert a == pytest.approx(b, rel=1e-12)
+        else:
+            assert a.value == pytest.approx(b.value, rel=1e-12)
+            assert (a.samples, a.depth, a.outside) == (b.samples, b.depth, b.outside)
+
+
+def test_single_sample_strata_have_zero_stderr():
+    est = estimate_volume(_square(1.0), _square(0.3), samples=1, seed=2)
+    assert est.samples == 1 and est.stderr == 0.0 and math.isfinite(est.value)
+    chart, omega, tube = _triangle_join_setup()
+    rep = join_divergence_probe(omega, chart, np.array([True, True, False]), tube(1, 4),
+                                slabs=3, samples=1, seed=2)
+    assert rep.stderrs == (0.0, 0.0, 0.0)
+    assert all(math.isfinite(v) for v in rep.slab_estimates + rep.partial_sums)
 
 
 def test_volume_shrinks_as_domain_grows():

@@ -49,10 +49,6 @@ def test_vector_matrix_products():
     m = ratlin.mat([[1, 2], [3, 4]])
     assert ratlin.mat_vec(m, [Fraction(1), Fraction(1)]) == [Fraction(3), Fraction(7)]
     assert ratlin.transpose(m) == [[Fraction(1), Fraction(3)], [Fraction(2), Fraction(4)]]
-    assert ratlin.scale([Fraction(1), Fraction(-2)], Fraction(3)) == [
-        Fraction(3),
-        Fraction(-6),
-    ]
 
 
 def test_random_matrices_against_numpy():
