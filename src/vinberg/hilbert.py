@@ -138,8 +138,10 @@ class HalfspaceBody:
         array is built."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
         E = np.atleast_2d(np.asarray(E, dtype=float))
-        # facet-major rows, so each step reads contiguous memory
-        slack = self.b[:, None] - self.A @ U.T  # (K, n), > 0 inside
+        # facet-major rows, so each step reads contiguous memory; A u is summed
+        # per coordinate, not by BLAS, so a point's norms ignore its batch
+        AU = sum(np.multiply.outer(a_j, u_j) for a_j, u_j in zip(self.A.T, U.T))
+        slack = self.b[:, None] - AU  # (K, n), > 0 inside
         AE = self.A @ E.T  # (K, m)
         AE[np.abs(AE) <= 1e-14] = 0.0  # parallel to the facet, as in `hits`
         hi = np.zeros((U.shape[0], E.shape[0]))
@@ -322,12 +324,13 @@ def busemann_densities(body, U, angular=256):
     for start in range(0, U.shape[0], _DENSITY_CHUNK):
         F = body.norms(U[start : start + _DENSITY_CHUNK], E)
         r = 1.0 / np.maximum(F, 1e-300)
+        # row sums rather than a BLAS product, again independent of the batch
         if d == 2:
             # area = 1/2 int_0^2pi r^2; F is symmetric, so the half-circle
             # grid integrates r^2 over [0, pi), which equals the area
-            ball = (r * r) @ W
+            ball = (r * r * W).sum(axis=1)
         else:
-            ball = (r ** 3) @ W / 3.0  # full-sphere grid
+            ball = (r ** 3 * W).sum(axis=1) / 3.0  # full-sphere grid
         out[start : start + _DENSITY_CHUNK] = _UNIT_BALL_VOLUME[d] / ball
     return out
 
@@ -353,6 +356,22 @@ class VolumeEstimate:
     outside: int  # target samples where the domain oracle failed
 
 
+def _keyed_streams(seed):
+    """`stream(i)` is the generator of Philox(key=[seed, i]) at its start.
+
+    One generator is reset to each key, since a new Philox also draws OS
+    entropy that a key never uses; spend a stream before taking the next."""
+    bits = np.random.Philox(key=[seed, 0])
+    gen, fresh = np.random.Generator(bits), bits.state
+
+    def stream(i):
+        key = np.asarray([seed, i]).astype(np.uint64)
+        bits.state = dict(fresh, state={"counter": np.zeros(4, np.uint64), "key": key})
+        return gen
+
+    return stream
+
+
 def _stratum_groups(lo, hi, samples, seed):
     """Stratified sample of the box [lo, hi], _GROUP strata at a time.
 
@@ -369,13 +388,14 @@ def _stratum_groups(lo, hi, samples, seed):
     per = int(math.ceil(samples / k**d))
     cell_vol = float(np.prod(edges[:, 1] - edges[:, 0]))
     axes = np.arange(d)
+    stream = _keyed_streams(seed)
     for start in range(0, k**d, _GROUP):
         ids = range(start, min(start + _GROUP, k**d))
         idx = np.stack(np.unravel_index(np.asarray(ids), (k,) * d), axis=1)
         cell_lo = edges[axes, idx][:, None, :]  # (strata, 1, d)
         pts = np.empty((len(ids), per, d))
         for i, stratum in zip(ids, pts):
-            np.random.Generator(np.random.Philox(key=[seed, i])).random(out=stratum)
+            stream(i).random(out=stratum)
         pts *= edges[axes, idx + 1][:, None, :] - cell_lo
         pts += cell_lo
         yield cell_vol, pts
@@ -530,80 +550,50 @@ def polygon_body(vertices):
     return HalfspaceBody(A, b, vertices=hull)
 
 
-def clip_halfplanes(A, b, pad_lo, pad_hi):
-    """Intersect halfplanes {a u <= b} with a padding box; returns the
-    polygon vertices, raising if the region still touches the pad box
-    (i.e. the cuts do not bound it)."""
-    poly = [
-        np.array([pad_lo[0], pad_lo[1]]),
-        np.array([pad_hi[0], pad_lo[1]]),
-        np.array([pad_hi[0], pad_hi[1]]),
-        np.array([pad_lo[0], pad_hi[1]]),
-    ]
-    for a, bb in zip(A, b):
-        new = []
-        n = len(poly)
-        if n == 0:
-            break
-        prev = poly[-1]
-        pv = float(a @ prev - bb)
-        for cur in poly:
-            cv = float(a @ cur - bb)
-            if pv <= 0:
-                new.append(prev)
-                if cv > 0:
-                    t = pv / (pv - cv)
-                    new.append(prev + t * (cur - prev))
-            elif cv <= 0:
-                t = pv / (pv - cv)
-                new.append(prev + t * (cur - prev))
-            prev, pv = cur, cv
-        poly = new
-    if not poly:
-        raise GeometryError("cut system is empty")
-    arr = np.asarray(poly)
-    margin = 1e-9 * (np.asarray(pad_hi) - np.asarray(pad_lo)).max()
-    if (arr <= np.asarray(pad_lo)[None, :] + margin).any() or (
-        arr >= np.asarray(pad_hi)[None, :] - margin
-    ).any():
-        raise GeometryError("cut system does not bound the domain (pad box hit)")
-    return arr
+def cut_body(A, b):
+    """The planar body {u : A u <= b} with the chart origin strictly inside
+    every cut, as the polar of the hull of the points a / b: the cuts on that
+    hull's vertices are the body's facets, and each hull edge (p, q) is dual
+    to the body vertex u with p . u = q . u = 1.  The body is bounded exactly
+    when the origin is strictly inside the hull."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if not (b > 0).all():
+        raise GeometryError("chart origin is not strictly inside every cut")
+    hull = _hull_2d(A / b[:, None])
+    p, q = hull.T, np.roll(hull, -1, axis=0).T
+    cross = p[0] * q[1] - p[1] * q[0]
+    if (cross <= 0).any():
+        raise GeometryError("cut system does not bound the domain")
+    verts = np.stack([q[1] - p[1], p[0] - q[0]], axis=1) / cross[:, None]
+    return HalfspaceBody(hull, np.ones(len(hull)), vertices=verts)
 
 
 def inner_hull_body(dom: DomainApprox, chart: Chart, max_depth=None):
     """Convex hull of the orbit tile rays in the chart (inner approximation
     of the invariant domain)."""
-    pts = []
-    for i, tile in enumerate(dom.tiles):
-        if max_depth is not None and dom.ball.depths[i] > max_depth:
-            continue
-        for ray in tile:
-            pts.append(chart.to_chart([float(x) for x in ray]))
-    pts = np.asarray(pts)
     if chart.dim != 2:
         raise GeometryError("inner hull bodies implemented in dimension 2")
-    return polygon_body(pts)
+    rays = [
+        [float(x) for x in ray]
+        for i, tile in enumerate(dom.tiles)
+        if max_depth is None or dom.ball.depths[i] <= max_depth
+        for ray in tile
+    ]
+    return polygon_body(chart.to_chart(rays))
 
 
-def outer_cut_body(dom: DomainApprox, chart: Chart, max_depth=None, pad=1e3):
+def outer_cut_body(dom: DomainApprox, chart: Chart, max_depth=None):
     """Intersection of the pushed supporting halfspaces (outer approximation
     of the invariant domain); must come out bounded."""
     if chart.dim != 2:
         raise GeometryError("outer cut bodies implemented in dimension 2")
-    rows = []
-    offs = []
-    for i, cov in enumerate(dom.covectors):
-        if max_depth is not None and dom.ball.depths[i] > max_depth:
-            continue
-        a, b = chart.halfspace(cov)
-        scale = max(abs(float(a[0])), abs(float(a[1])), abs(float(b)), 1e-300)
-        rows.append(a / scale)
-        offs.append(b / scale)
-    lo = np.full(2, -pad)  # the chart origin is interior to every cut
-    hi = np.full(2, pad)
-    verts = clip_halfplanes(rows, offs, lo, hi)
-    A, b = _polygon_halfspaces(verts)
-    return HalfspaceBody(A, b, vertices=verts)
+    cuts = [
+        chart.halfspace(cov)
+        for i, cov in enumerate(dom.covectors)
+        if max_depth is None or dom.ball.depths[i] <= max_depth
+    ]
+    return cut_body([a for a, _ in cuts], [b for _, b in cuts])
 
 
 def fundamental_target(P: CoxeterPolytope, chart: Chart):

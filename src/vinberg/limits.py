@@ -23,7 +23,7 @@ import numpy as np
 
 from . import ratlin
 from .cartan import NEGATIVE, classify_type, irreducible_components
-from .hilbert import GeometryError, HalfspaceBody, polygon_body, _hull_2d
+from .hilbert import GeometryError, HalfspaceBody, _keyed_streams, polygon_body
 from .orbits import generators, supporting_covector
 from .polytope import CoxeterPolytope, vertex_faces
 from .scalars import InputError, to_float
@@ -172,8 +172,9 @@ def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0,
     notes = []
     proximal_hits = 0
     worst_span = 0.0
+    stream = _keyed_streams(seed)
     for trial in range(count):
-        rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
+        rng = stream(trial)
         length = int(min(word_length, max(2, rng.geometric(p_len))))
         word = [int(rng.integers(P.n))]
         while len(word) < length:
@@ -320,7 +321,7 @@ def hull_of_limit_set(sample: LimitSetSample, chart):
             vertices=np.asarray([[lo], [hi]]),
         )
     if d == 2:
-        return polygon_body(_hull_2d(pts))
+        return polygon_body(pts)
     if d == 3:
         from scipy.spatial import ConvexHull
 

@@ -1,5 +1,8 @@
 """Independent re-derivations used as test oracles.
 
+Planar cut bodies are checked against the brute-force vertex set: every
+point where two cut lines cross, kept when it satisfies every cut.
+
 The face conditions are checked through two formulations that share no code
 with the library's face machinery:
 
@@ -12,6 +15,7 @@ with the library's face machinery:
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -90,8 +94,6 @@ def dual_face_holds(P, subset, tol=1e-9):
 
 def brute_face_subsets(P):
     """All proper face subsets by the primal condition, in (size, lex) order."""
-    import itertools
-
     out = [()]
     for size in range(1, P.n):
         for subset in itertools.combinations(range(P.n), size):
@@ -128,3 +130,22 @@ def float_components(rows):
                     stack.append(j)
         comps.append(tuple(sorted(comp)))
     return comps
+
+
+def cut_vertices(A, b, tol=1e-9):
+    """Vertices of the planar body {u : A u <= b}: the feasible crossings of
+    pairs of cut lines, merged when closer than `tol` relative to their size."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = []
+    for i, j in itertools.combinations(range(len(A)), 2):
+        M = A[[i, j]]
+        if abs(np.linalg.det(M)) <= 1e-12 * np.abs(M).max() ** 2:
+            continue  # parallel lines
+        u = np.linalg.solve(M, b[[i, j]])
+        scale = max(1.0, float(np.abs(u).max()))
+        if (A @ u - b <= tol * scale * np.abs(A).max(axis=1)).all() and not any(
+            np.abs(u - v).max() <= tol * scale for v in out
+        ):
+            out.append(u)
+    return np.asarray(out)

@@ -18,6 +18,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import corpus
+import oracles
 from vinberg import hilbert
 from vinberg.hilbert import (
     _UNIT_BALL_VOLUME,
@@ -28,8 +29,8 @@ from vinberg.hilbert import (
     _sphere_grid,
     busemann_densities,
     busemann_density,
-    clip_halfplanes,
     conic_body,
+    cut_body,
     estimate_volume,
     finsler_norm,
     fundamental_target,
@@ -192,19 +193,50 @@ def test_finsler_norm_on_a_polygon():
         finsler_norm(square, [1.0, 0.0], [1.0, 0.0])  # on the boundary
 
 
-def test_clip_halfplanes_builds_vertices():
-    lo, hi = np.array([-10.0, -10.0]), np.array([10.0, 10.0])
-    verts = clip_halfplanes(
-        np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
-        np.array([1.0, 0.0, 0.0]),
-        lo,
-        hi,
-    )
-    got = {tuple(np.round(v, 9)) for v in verts}
-    assert got == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)}
-    # a single halfplane leaves the region leaning on the pad box
+def test_cut_body_builds_vertices():
+    # the triangle x, y >= 0, x + y <= 1 around its interior point (1/4, 1/4)
+    A = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    body = cut_body(A, np.array([0.5, 0.25, 0.25]))
+    got = {tuple(np.round(v, 9)) for v in body.vertices}
+    assert got == {(-0.25, -0.25), (0.75, -0.25), (-0.25, 0.75)}
+    assert body.contains(np.zeros((1, 2)))[0]
+    # a single halfplane leaves the region unbounded
     with pytest.raises(GeometryError):
-        clip_halfplanes(np.array([[1.0, 0.0]]), np.array([1.0]), lo, hi)
+        cut_body(np.array([[1.0, 0.0]]), np.array([1.0]))
+    # so do three cuts whose normals fit in a half-plane
+    with pytest.raises(GeometryError, match="does not bound"):
+        cut_body(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones(3))
+    # the chart origin must be strictly inside every cut
+    for b in ([1.0, 0.0, 0.0], [0.5, 0.25, -0.25]):
+        with pytest.raises(GeometryError, match="strictly inside"):
+            cut_body(A, np.array(b))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cut_body_matches_the_pairwise_oracle(seed):
+    rng = np.random.Generator(np.random.Philox(key=[53, seed]))
+    k = int(rng.integers(3, 61))
+    width = 2 * np.pi if seed % 4 else rng.uniform(0.5, np.pi - 0.05)
+    spread = 0.05 if seed % 2 else 2.0  # near a circle, most cuts are facets
+    theta = rng.uniform(0.0, width, k)
+    A = np.stack([np.cos(theta), np.sin(theta)], axis=1) * rng.uniform(1.0, 1 + spread, (k, 1))
+    b = rng.uniform(1.0, 1 + spread, k)
+    # redundant cuts (a facet pushed outwards) and duplicate cuts
+    extra = rng.integers(k, size=int(rng.integers(0, k)))
+    A = np.vstack([A, A[extra], A[extra]])
+    b = np.concatenate([b, b[extra] * rng.uniform(1.0, 3.0, len(extra)), b[extra]])
+    gaps = np.diff(np.sort(theta), append=np.sort(theta)[0] + 2 * np.pi)
+    if gaps.max() > np.pi:  # the normals fit in a half-plane
+        with pytest.raises(GeometryError):
+            cut_body(A, b)
+        return
+    body = cut_body(A, b)
+    want = oracles.cut_vertices(A, b)
+    assert len(body.vertices) == len(want)
+    scale = max(1.0, float(np.abs(want).max()))
+    for v in body.vertices:
+        assert np.abs(want - v).max(axis=1).min() <= 1e-9 * scale
+    assert (body.vertices @ A.T - b <= 1e-12 * scale).all()
 
 
 def test_estimate_volume_is_deterministic():
@@ -239,6 +271,15 @@ def test_stratum_sampler_contract(monkeypatch, lo, hi, samples):
     assert cell_vol == np.prod([e[1] - e[0] for e in edges])
 
 
+def test_keyed_streams_match_fresh_generators():
+    stream = hilbert._keyed_streams(29)
+    for i in (0, 5, 1, 5, 2**40):
+        got, fresh = stream(i), np.random.Generator(np.random.Philox(key=[29, i]))
+        for draw in (lambda g: g.random(7), lambda g: g.integers(5, size=9),
+                     lambda g: g.geometric(0.3, size=4), lambda g: g.integers(1000)):
+            assert np.array_equal(draw(got), draw(fresh))
+
+
 @pytest.mark.parametrize("per", [1, 2, 64])
 def test_stratum_sums_match_the_per_stratum_loop(per):
     # reference: one stratum at a time, as mean and variance of its samples
@@ -262,22 +303,22 @@ def test_estimates_do_not_depend_on_the_grouping(monkeypatch):
     one = estimate_volume(body, target, samples=20000, seed=3)
     seq_one = volume_sequence(corpus.t601(), depths=(2, 4), samples=3000, seed=5,
                               side="outer", angular=64)
-    monkeypatch.setattr(hilbert, "_GROUP", 7)
-    many = estimate_volume(body, target, samples=20000, seed=3)
-    seq_many = volume_sequence(corpus.t601(), depths=(2, 4), samples=3000, seed=5,
-                               side="outer", angular=64)
-    # the strata are summed in the same order; only the BLAS products of the
-    # density kernels see other batches, which may move the last bits
-    assert (many.samples, many.outside) == (one.samples, one.outside)
-    assert many.value == pytest.approx(one.value, rel=1e-13)
-    assert many.stderr == pytest.approx(one.stderr, rel=1e-12)
-    for a, b in zip(seq_many.estimates + tuple(seq_many.diffs),
-                    seq_one.estimates + tuple(seq_one.diffs)):
-        if isinstance(a, float):
-            assert a == pytest.approx(b, rel=1e-12)
-        else:
-            assert a.value == pytest.approx(b.value, rel=1e-12)
-            assert (a.samples, a.depth, a.outside) == (b.samples, b.depth, b.outside)
+    # the strata are summed in the same order, and a point's density does not
+    # depend on the other points of its batch (one-stratum groups pass a BLAS
+    # product other shapes than 64-point chunks do)
+    for group in (7, 1):
+        monkeypatch.setattr(hilbert, "_GROUP", group)
+        assert estimate_volume(body, target, samples=20000, seed=3) == one
+        assert volume_sequence(corpus.t601(), depths=(2, 4), samples=3000, seed=5,
+                               side="outer", angular=64) == seq_one
+
+
+def test_polygon_densities_do_not_depend_on_the_batch():
+    rng = np.random.Generator(np.random.Philox(key=[41, 0]))
+    body = _convex_polygon(rng, 10)
+    U = rng.dirichlet(np.ones(10), 200) @ body.vertices
+    batch = busemann_densities(body, U)
+    assert all(busemann_densities(body, u[None, :])[0] == x for u, x in zip(U, batch))
 
 
 def test_single_sample_strata_have_zero_stderr():
