@@ -12,8 +12,12 @@ over reduced words with exact (or quantized) matrix deduplication.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import repeat
+from operator import mul
 
 from . import ratlin
 from .cartan import NEGATIVE, irreducible_components, witness_vector
@@ -114,22 +118,67 @@ def _residual(a, b):
     return max(abs(float(x - y)) for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def _integer_rows(m):
+    """(D, rows) with m = rows / D: D > 0 is the least common denominator of
+    the rational matrix m and rows holds its integer numerators over D."""
+    den = math.lcm(*(x.denominator for row in m for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in m]
+
+
 def expand_orbit(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEMENTS):
     """Breadth-first ball of the generated group up to word length `depth`.
 
     New elements are found by right-multiplication, so each element's word is
     reduced-on-the-right as visited; duplicate matrices are pruned, which
-    quotients by all relations automatically."""
+    quotients by all relations automatically.
+
+    Each element costs one matrix product.  Exact elements are held as
+    (integer numerators, denominator) over the generators' common
+    denominator, reduced by one gcd; that pair is unique, so it is its own
+    deduplication key.  Approx elements are float matrices keyed on a 1e-9
+    grid.  Every product found, new or not, is recorded in a transition
+    table child[i][s] = index of elements[i] . sigma_s, and the inverse of
+    sigma_{w0} ... sigma_{wk} is read off by walking that table from the
+    identity along wk, ..., w0."""
     field = P.field
-
-    def key(m):
-        return field.key([x for row in m for x in row], _ORBIT_KEY_STEP)
-
+    n = P.dim + 1
     gens = generators(P)
-    ident = tuple(map(tuple, field.identity(P.dim + 1)))
+    if field.exact:
+        den, rows = _integer_rows([row for g in gens for row in g])
+        gen_cols = [tuple(zip(*rows[s * n : (s + 1) * n])) for s in range(P.n)]
+        cuts = range(0, n * n, n)
+
+        def product(g, s):
+            nums, d = g
+            out = [
+                sum(map(mul, r, c))
+                for r in [nums[i : i + n] for i in cuts]
+                for c in gen_cols[s]
+            ]
+            d *= den
+            q = math.gcd(d, *out)
+            if q != 1:
+                return tuple([x // q for x in out]), d // q
+            return tuple(out), d
+
+        def key(h):
+            return h
+
+        ident = (tuple(int(i == j) for i in range(n) for j in range(n)), 1)
+    else:
+
+        def product(g, s):
+            return tuple(map(tuple, ratlin.mat_mul(g, gens[s])))
+
+        def key(h):
+            return field.key([x for row in h for x in row], _ORBIT_KEY_STEP)
+
+        ident = tuple(map(tuple, field.identity(n)))
     elements = [ident]
     words = [()]
     depths = [0]
+    parents = [0]
+    child = []  # one row per expanded element, in index order
     seen = {key(ident): 0}
     frontier = [0]
     for level in range(1, depth + 1):
@@ -137,31 +186,47 @@ def expand_orbit(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEMEN
         for idx in frontier:
             g = elements[idx]
             w = words[idx]
+            row = []
             for s in range(P.n):
                 if w and w[-1] == s:
-                    continue  # sigma_s^2 = Id: never extend by the same letter
-                h = tuple(map(tuple, ratlin.mat_mul(g, gens[s])))
-                k = key(h)
-                if k in seen:
+                    # sigma_s^2 = Id: never extend by the same letter
+                    row.append(parents[idx])
                     continue
-                if len(elements) >= max_elements:
-                    raise InputError(
-                        f"orbit ball exceeded {max_elements} elements at depth {level}"
-                    )
-                seen[k] = len(elements)
-                elements.append(h)
-                words.append(w + (s,))
-                depths.append(level)
-                nxt.append(len(elements) - 1)
+                h = product(g, s)
+                k = key(h)
+                j = seen.get(k)
+                if j is None:
+                    j = len(elements)
+                    if j >= max_elements:
+                        raise InputError(
+                            f"orbit ball exceeded {max_elements} elements at depth {level}"
+                        )
+                    seen[k] = j
+                    elements.append(h)
+                    words.append(w + (s,))
+                    depths.append(level)
+                    parents.append(idx)
+                    nxt.append(j)
+                row.append(j)
+            child.append(row)
         frontier = nxt
         if not frontier:
             break  # the whole group is finite and already enumerated
     inverses = []
     for w in words:
-        inv = ident
+        # every element passed on the way has length below len(w) <= depth,
+        # so it was expanded and its row exists
+        idx = 0
         for s in reversed(w):
-            inv = ratlin.mat_mul(inv, gens[s])
-        inverses.append(seen.get(key(inv), -1))
+            idx = child[idx][s]
+        inverses.append(idx)
+    if field.exact:
+        # entries repeat across the ball: build each distinct Fraction once
+        fraction = functools.cache(Fraction)
+        elements = [
+            tuple(tuple(map(fraction, nums[i : i + n], repeat(d))) for i in cuts)
+            for nums, d in elements
+        ]
     return OrbitBall(
         tuple(elements), tuple(words), tuple(depths), tuple(inverses), depth
     )
@@ -338,11 +403,30 @@ def domain_approx(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEME
     ball = expand_orbit(P, depth, max_elements)
     ell0, _ = supporting_covector(P)
     base = _cone_vertices(P)
-    tiles = []
-    covs = []
-    for g, inv in zip(ball.elements, ball.inverses):
-        tiles.append(tuple(tuple(ratlin.mat_vec(g, v)) for v in base))
-        covs.append(tuple(ratlin.mat_mul([ell0], ball.elements[inv])[0]))
+    if P.field.exact:
+        # g . v over den(g) den(base) and ell0 . g over den(ell0) den(g), on
+        # integer numerators
+        bden, bnums = _integer_rows(base)
+        lden, (lnums,) = _integer_rows([ell0])
+        fraction = functools.cache(Fraction)
+        tiles = []
+        pushed = []
+        for g in ball.elements:
+            d, rows = _integer_rows(g)
+            tiles.append(
+                tuple(
+                    tuple(fraction(sum(map(mul, r, v)), d * bden) for r in rows)
+                    for v in bnums
+                )
+            )
+            pushed.append(
+                tuple(fraction(sum(map(mul, lnums, c)), d * lden) for c in zip(*rows))
+            )
+    else:
+        tiles = [tuple(tuple(ratlin.mat_vec(g, v)) for v in base) for g in ball.elements]
+        pushed = [tuple(ratlin.mat_mul([ell0], g)[0]) for g in ball.elements]
+    # ell0 . g^{-1} is ell0 . g at the inverse's index: one product per element
+    covs = [pushed[i] for i in ball.inverses]
     import numpy as np
 
     rays = np.array(

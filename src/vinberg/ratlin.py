@@ -9,6 +9,7 @@ solver, which keeps its own tableau.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -28,11 +29,11 @@ def transpose(m):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def rref(m):

@@ -1,5 +1,9 @@
 """Independent re-derivations used as test oracles.
 
+Orbit balls are checked against the plain breadth-first search: one
+`ratlin.mat_mul` per product, and each inverse found by multiplying out the
+reversed word.
+
 Planar cut bodies are checked against the brute-force vertex set: every
 point where two cut lines cross, kept when it satisfies every cut.
 
@@ -21,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog as scipy_lp
 
+from vinberg import ratlin
 from vinberg.linprog import OPTIMAL, solve_lp
 
 
@@ -149,3 +154,49 @@ def cut_vertices(A, b, tol=1e-9):
         ):
             out.append(u)
     return np.asarray(out)
+
+
+def brute_orbit_ball(P, depth):
+    """(elements, words, depths, inverses) of the word-length ball of radius
+    `depth`, by breadth-first search over right products with one
+    `ratlin.mat_mul` each, matrices deduplicated exactly (or on a 1e-9 grid
+    in approx mode), and each inverse looked up after multiplying out the
+    reversed word (-1 when that product is not found in the ball)."""
+    field = P.field
+
+    def key(m):
+        return field.key([x for row in m for x in row], 1e-9)
+
+    ident = tuple(map(tuple, field.identity(P.dim + 1)))
+    gens = [
+        tuple(tuple(e - vi * aj for e, aj in zip(row, a)) for row, vi in zip(ident, v))
+        for a, v in zip(P.alphas, P.polars)
+    ]
+    elements, words, depths = [ident], [()], [0]
+    seen = {key(ident): 0}
+    frontier = [0]
+    for level in range(1, depth + 1):
+        nxt = []
+        for idx in frontier:
+            w = words[idx]
+            for s in range(P.n):
+                if w and w[-1] == s:
+                    continue
+                h = tuple(map(tuple, ratlin.mat_mul(elements[idx], gens[s])))
+                k = key(h)
+                if k not in seen:
+                    seen[k] = len(elements)
+                    elements.append(h)
+                    words.append(w + (s,))
+                    depths.append(level)
+                    nxt.append(seen[k])
+        frontier = nxt
+        if not frontier:
+            break
+    inverses = []
+    for w in words:
+        inv = ident
+        for s in reversed(w):
+            inv = ratlin.mat_mul(inv, gens[s])
+        inverses.append(seen.get(key(inv), -1))
+    return tuple(elements), tuple(words), tuple(depths), tuple(inverses)

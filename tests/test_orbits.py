@@ -1,6 +1,7 @@
 """Reflection representation: orbits, relations, forms, and tilings."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import corpus
+import oracles
+from vinberg import ratlin
+from vinberg.cartan import validate_cartan
 from vinberg.orbits import (
     check_properness,
     check_relations,
@@ -21,6 +25,7 @@ from vinberg.orbits import (
     representation_report,
     supporting_covector,
 )
+from vinberg.polytope import build_polytope, tits_polytope
 from vinberg.scalars import INFINITY, InputError
 
 
@@ -73,9 +78,73 @@ def test_orbit_sizes_of_finite_groups():
 
 def test_orbit_growth_of_free_product():
     # Z/2 * Z/2 * Z/2: 3 * 2^(k-1) reduced words of length k.
-    ball = expand_orbit(corpus.build("tinf"), 10)
-    assert len(ball.elements) == 1 + 3 * (2**10 - 1)
-    assert ball.depth == 10
+    ball = expand_orbit(corpus.build("tinf"), 12)
+    assert len(ball.elements) == 1 + 3 * (2**12 - 1)
+    assert ball.depth == 12
+    assert all(ball.inverses[j] == i for i, j in enumerate(ball.inverses))
+
+
+def test_orbit_ball_size_cap():
+    P = corpus.build("tinf")
+    assert len(expand_orbit(P, 5, max_elements=94)) == 94  # 1 + 3 * (2^5 - 1)
+    with pytest.raises(InputError, match="exceeded 94 elements at depth 6"):
+        expand_orbit(P, 6, max_elements=94)
+
+
+def _approx_copy(P):
+    """The same polytope with every entry cast to float, in approx mode."""
+    pairs = [
+        ([float(x) for x in a], [float(x) for x in v])
+        for a, v in zip(P.alphas, P.polars)
+    ]
+    return build_polytope(pairs, labels=P.labels, mode="approx")
+
+
+# The plain engine needs 3 s and 15 s for the exact joins at depth 6; their
+# approx copies still run at depth 6.
+_EXACT_ORACLE_DEPTH = {"join_inf_seg": 4, "join_inf_inf": 4}
+
+
+@pytest.mark.parametrize("name", corpus.NAMES)
+def test_orbit_ball_matches_the_plain_engine(name):
+    P = corpus.build(name)
+    cases = [(P, _EXACT_ORACLE_DEPTH.get(name, 6))]
+    if P.mode == "exact":
+        cases.append((_approx_copy(P), 6))
+    for Q, depth in cases:
+        dom = domain_approx(Q, depth)
+        ball = dom.ball
+        assert ball.depth == depth
+        got = (ball.elements, ball.words, ball.depths, ball.inverses)
+        # repr tells Fraction from int and compares floats bit for bit
+        assert repr(got) == repr(oracles.brute_orbit_ball(Q, depth))
+        ell0 = [list(dom.ell0)]
+        tiles = tuple(
+            tuple(tuple(ratlin.mat_vec(g, v)) for v in dom.base_vertices)
+            for g in ball.elements
+        )
+        covs = tuple(
+            tuple(ratlin.mat_mul(ell0, ball.elements[i])[0]) for i in ball.inverses
+        )
+        assert repr(dom.tiles) == repr(tiles)
+        assert repr(dom.covectors) == repr(covs)
+
+
+@pytest.mark.parametrize(
+    "name, size",
+    [("tinf", 3070), ("t45", 748), ("t6", 748), ("t9", 748), ("aff", 166),
+     ("t23inf", 188), ("seg", 21)],
+)
+def test_float_balls_count_like_exact_balls(name, size):
+    P = corpus.build(name)
+    Q = tits_polytope(validate_cartan(P.cartan.rows(), mode="approx"))
+    exact = expand_orbit(P, 10)
+    ball = expand_orbit(Q, 10)
+    assert len(ball) == len(exact) == size
+    assert Counter(ball.depths) == Counter(exact.depths)
+    for i, j in enumerate(ball.inverses):
+        assert j >= 0 and ball.inverses[j] == i
+        assert ball.depths[j] == ball.depths[i]
 
 
 def test_orbit_inverses_and_words():
@@ -117,8 +186,6 @@ def test_domain_approx_tiling():
     P = corpus.build("t237")
     dom = domain_approx(P, 4)
     assert len(dom.tiles) == len(dom.ball.elements) == 25
-    from collections import Counter
-
     per_depth = sorted(Counter(dom.ball.depths).items())
     assert per_depth == [(0, 1), (1, 3), (2, 5), (3, 7), (4, 9)]
     # Every tile stays strictly on the negative side of the covector.
