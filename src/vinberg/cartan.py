@@ -7,8 +7,8 @@ k >= 2.  The product encodes the dihedral order m_st of the pairwise
 reflection subgroup (m = k, or infinity when the product is >= 4).
 
 Each irreducible component is classified as positive, zero or negative type
-by the sign of 2 - rho(2I - A), decided in exact mode by principal-minor
-criteria for Z-matrices and in approx mode by power iteration.
+by the sign of 2 - rho(2I - A), decided in exact mode by the pivots of one
+elimination (M-matrix criteria) and in approx mode by power iteration.
 """
 
 from __future__ import annotations
@@ -225,24 +225,20 @@ def _power_lambda(rows, eps):
     return 3.0 - lam, v, False
 
 
-def _is_nonsingular_m_matrix(rows):
-    """Exact test: all leading principal minors positive."""
-    return all(d > 0 for d in ratlin.leading_principal_minors(rows))
-
-
 def _classify_block_exact(rows):
-    if _is_nonsingular_m_matrix(rows):
-        return POSITIVE
-    n = len(rows)
-    if ratlin.det(rows) == 0:
-        # Irreducible singular M-matrix test: every single-index deletion must
-        # be a nonsingular M-matrix; then all principal minors are >= 0.
-        for i in range(n):
-            sub = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
-            if not _is_nonsingular_m_matrix(sub):
-                return NEGATIVE
-        return ZERO
-    return NEGATIVE
+    """Type of an irreducible block from the pivots (ratios of leading
+    principal minors) of one elimination without row exchanges: all > 0 is
+    positive type; all but a zero last one > 0 is zero type (a singular
+    irreducible M-matrix); anything else is negative type."""
+    m = [list(r) for r in rows]
+    for k, row in enumerate(m):
+        if row[k] <= 0:
+            return ZERO if row[k] == 0 and k == len(m) - 1 else NEGATIVE
+        for below in m[k + 1 :]:
+            f = below[k] / row[k]
+            if f:
+                below[k + 1 :] = [x - f * y for x, y in zip(below[k + 1 :], row[k + 1 :])]
+    return POSITIVE
 
 
 def classify_type(A):
@@ -282,14 +278,7 @@ def classify_type(A):
 
 def _canonical_positive(vec):
     """Scale an all-positive rational vector to coprime positive integers."""
-    lcm = 1
-    for x in vec:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    return [Fraction(x // g) for x in ints]
+    return [Fraction(x) for x in ratlin.coprime(vec)]
 
 
 def _exact_block_witness(rows, tag):

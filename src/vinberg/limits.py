@@ -15,9 +15,9 @@ reproducible and trivially parallelisable.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import ratlin
 from .cartan import NEGATIVE, classify_type, irreducible_components
 from .hilbert import GeometryError, HalfspaceBody, _keyed_streams, polygon_body
 from .orbits import generators, supporting_covector
-from .polytope import CoxeterPolytope, vertex_faces
+from .polytope import CoxeterPolytope, _extreme_rays, vertex_faces
 from .scalars import InputError, to_float
 
 EPS_GAP = 1e-6
@@ -220,43 +220,15 @@ def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0,
     )
 
 
-def _normalize_ray(vec, field):
-    """Exact rays are scaled to unit 1-norm (no square roots in Q), float
-    rays to unit 2-norm."""
-    if field.exact:
-        total = sum(abs(x) for x in vec)
-        return tuple(x / total for x in vec)
-    arr = np.asarray([to_float(x) for x in vec], dtype=float)
-    return tuple(float(x) for x in arr / np.linalg.norm(arr))
-
-
-def _dual_rays(vectors, field):
+def _unit_rays(vectors, field):
     """Extreme rays of the cone {y : x . y <= 0 for every x in vectors},
-    assumed pointed.  Applied to the rays of a cone it yields that cone's
-    facet covectors, oriented <= 0 on it.
-
-    Brute force: every (dim-1)-subset of vectors whose kernel is a line gives
-    a candidate, kept when all vectors sit weakly on one side of it.  Fine
-    for the handful of polars and facets a facet system carries."""
-
-    dim = len(vectors[0])
-    out, keys = [], set()
-    for subset in itertools.combinations(range(len(vectors)), dim - 1):
-        basis = field.kernel([vectors[i] for i in subset])
-        if len(basis) != 1:
-            continue
-        ray = basis[0]
-        signs = [field.sign(v) for v in ratlin.mat_vec(vectors, ray)]
-        if 1 in signs and -1 in signs:
-            continue
-        if 1 in signs:
-            ray = tuple(-r for r in ray)
-        ray = _normalize_ray(ray, field)
-        key = field.key(ray)
-        if key not in keys:
-            keys.add(key)
-            out.append(ray)
-    return tuple(out)
+    exact ones scaled to unit 1-norm (no square roots in Q), float ones to
+    unit 2-norm.  Applied to the rays of a cone it yields that cone's facet
+    covectors, oriented <= 0 on it."""
+    rays = [ray for ray, _ in _extreme_rays(vectors, field)]
+    if field.exact:
+        return tuple(tuple(Fraction(x, sum(map(abs, ray))) for x in ray) for ray in rays)
+    return tuple(rays)
 
 
 def omega_min_seed(P: CoxeterPolytope):
@@ -276,14 +248,14 @@ def omega_min_seed(P: CoxeterPolytope):
     if field.rank(P.polars) != P.dim + 1:
         raise InputError("polars do not span the space; no minimal domain seed")
 
-    polar_facets = _dual_rays(P.polars, field)
+    polar_facets = _unit_rays(P.polars, field)
     inside = all(
         field.sign(v) <= 0
         for face in vertex_faces(P)
         for v in ratlin.mat_vec(polar_facets, face.witness)
     )
 
-    rays = _dual_rays(list(P.alphas) + list(polar_facets), field)
+    rays = _unit_rays(list(P.alphas) + list(polar_facets), field)
     if not rays:
         raise GeometryError("truncation has no extreme rays; cone degenerated")
     return Truncation(

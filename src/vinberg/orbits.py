@@ -409,33 +409,30 @@ def domain_approx(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEME
         bden, bnums = _integer_rows(base)
         lden, (lnums,) = _integer_rows([ell0])
         fraction = functools.cache(Fraction)
-        tiles = []
-        pushed = []
+        # the guard's floats are one correctly rounded int division each
+        tiles, pushed, ray_floats, pushed_floats = [], [], [], []
         for g in ball.elements:
             d, rows = _integer_rows(g)
-            tiles.append(
-                tuple(
-                    tuple(fraction(sum(map(mul, r, v)), d * bden) for r in rows)
-                    for v in bnums
-                )
-            )
-            pushed.append(
-                tuple(fraction(sum(map(mul, lnums, c)), d * lden) for c in zip(*rows))
-            )
+            tile = [[sum(map(mul, r, v)) for r in rows] for v in bnums]
+            tiles.append(tuple(tuple(fraction(x, d * bden) for x in ray) for ray in tile))
+            ray_floats += ([x / (d * bden) for x in ray] for ray in tile)
+            nums = [sum(map(mul, lnums, c)) for c in zip(*rows)]
+            pushed.append(tuple(fraction(x, d * lden) for x in nums))
+            pushed_floats.append([x / (d * lden) for x in nums])
     else:
         tiles = [tuple(tuple(ratlin.mat_vec(g, v)) for v in base) for g in ball.elements]
         pushed = [tuple(ratlin.mat_mul([ell0], g)[0]) for g in ball.elements]
+        ray_floats = [ray for tile in tiles for ray in tile]
+        pushed_floats = pushed
     # ell0 . g^{-1} is ell0 . g at the inverse's index: one product per element
     covs = [pushed[i] for i in ball.inverses]
     import numpy as np
 
-    rays = np.array(
-        [[float(x) for x in ray] for tile in tiles for ray in tile], dtype=float
-    ).T  # dim x (tiles * verts)
+    rays = np.array(ray_floats, dtype=float).T  # dim x (tiles * verts)
     # exact rays and covectors are rounded to float once; approx ones carry
     # the rounding of every product in the ball
     tol = 1e-12 if P.field.exact else 1e-7
-    cov_arr = np.array([[float(c) for c in cov] for cov in covs], dtype=float)
+    cov_arr = np.array([pushed_floats[i] for i in ball.inverses], dtype=float)
     scale = np.maximum(1.0, np.abs(cov_arr).max(axis=1))
     for start in range(0, len(covs), 256):
         block = cov_arr[start : start + 256]

@@ -10,19 +10,22 @@ A subset S' of facets defines a face exactly when the system
 
     a_s(x) = 0 (s in S'),   a_s(x) < 0 (s not in S')
 
-has a solution; feasibility is decided by exact rational LP (approx mode
-runs the same pivoting over floats and re-verifies the witness), except
-when the covectors are the dual canonical basis (every Tits simplex and
-every join of them), where the LP optimum is known in closed form.  The
-face lattice and the link type of each facet subset are computed once per
-polytope and memoised on it.
+has a solution: exactly when the facet sets of the extreme rays of D through
+S' intersect to S', and the sum of those rays is then a solution.  The rays
+are computed once per polytope; the face lattice (their facet sets'
+intersection closure) and the link types are memoised on it.  The LP
+`face_witness` (exact rational simplex, float pivots in approx mode) is the
+standalone cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from . import ratlin
 from .cartan import (
@@ -66,7 +69,8 @@ class CoxeterPolytope:
     mode: str
     eps: float
     labels: tuple
-    interior: tuple  # cached interior point of the preferred lift
+    interior: tuple  # cached interior point of the preferred lift: the ray sum
+    rays: tuple = dataclass_field(repr=False)  # extreme rays as (ray, facets through it)
 
     @cached_property
     def field(self):
@@ -74,19 +78,18 @@ class CoxeterPolytope:
 
     @cached_property
     def face_table(self):
-        """The face lattice, computed once: every proper face plus the
-        interior, ordered by (size, lex), and the empty face when d = 0.
-        Read it through `enumerate_faces`, which guards the facet count."""
-        out = [defines_face(self, ())]
-        indices = range(self.n)
-        for size in range(1, self.n):
-            for subset in itertools.combinations(indices, size):
-                desc = defines_face(self, subset)
-                if desc is not None:
-                    out.append(desc)
-        if self.dim == 0:
-            out.append(defines_face(self, tuple(indices)))
-        return tuple(out)
+        """The face lattice, computed once as the intersections of the rays'
+        facet sets: every proper face plus the interior, ordered by (size,
+        lex), and the empty face (the empty intersection) when d = 0.  Read
+        it through `enumerate_faces`, which guards the facet count."""
+        everything = frozenset(range(self.n))
+        closed = {everything}
+        for _, facets in self.rays:
+            closed |= {facets & c for c in closed}
+        if self.dim > 0:
+            closed.discard(everything)
+        subsets = sorted((tuple(sorted(c)) for c in closed), key=lambda t: (len(t), t))
+        return tuple(defines_face(self, subset) for subset in subsets)
 
     @cached_property
     def _restrictions(self):
@@ -131,31 +134,64 @@ class JoinStructure:
 
 
 # ---------------------------------------------------------------------------
-# face feasibility LP
+# extreme rays and the face LP
 
 
-def _is_dual_basis(alphas):
-    """Are the covectors the dual canonical basis (the identity matrix)?"""
-    n = len(alphas)
-    return all(
-        len(row) == n and all(x == (1 if i == j else 0) for j, x in enumerate(row))
-        for i, row in enumerate(alphas)
-    )
+def _extreme_rays(vectors, field):
+    """Extreme rays of the cone {y : x . y <= 0 for every x in `vectors`},
+    assumed pointed, each as (ray, frozenset of the indices of the vectors
+    vanishing on it), in order of discovery.  Exact rays are coprime
+    integers, float rays have unit 2-norm.
+
+    Brute force: every (dim-1)-subset of vectors whose kernel is a line gives
+    a candidate, kept when all vectors sit weakly on one side of it.  Fine
+    for the handful of facets a facet system carries."""
+    dim = len(vectors[0])
+    if field.exact:  # positive row scalings keep the cone; integers are cheaper
+        vectors = [ratlin.coprime(row) for row in vectors]
+    out, keys = [], set()
+    for subset in itertools.combinations(range(len(vectors)), dim - 1):
+        rows = [vectors[i] for i in subset]
+        basis = field.kernel(rows) if rows else field.identity(dim)
+        if len(basis) != 1:
+            continue
+        ray = ratlin.coprime(basis[0]) if field.exact else basis[0]
+        signs = [field.sign(v) for v in ratlin.mat_vec(vectors, ray)]
+        if 1 in signs and -1 in signs:
+            continue
+        if 1 in signs:
+            ray = [-r for r in ray]
+        if not field.exact:
+            ray = (np.asarray(ray, dtype=float) / np.linalg.norm(ray)).tolist()
+        ray = tuple(ray)
+        key = field.key(ray)
+        if key not in keys:
+            keys.add(key)
+            out.append((ray, frozenset(i for i, sg in enumerate(signs) if sg == 0)))
+    return tuple(out)
+
+
+def _ray_face(rays, subset, n, field):
+    """(the sum of the rays through `subset`, None when there is none; the
+    facets common to those rays, all n for none).  `subset` defines a face
+    exactly when it equals its common facets, and the sum is then a point
+    with active set exactly `subset`; exact sums are taken on the integers."""
+    through = [(ray, facets) for ray, facets in rays if facets.issuperset(subset)]
+    common = frozenset(range(n)).intersection(*(facets for _, facets in through))
+    if not through:
+        return None, common
+    point = [sum(col) for col in zip(*(ray for ray, _ in through))]
+    return tuple(map(Fraction, point) if field.exact else point), common
 
 
 def face_witness(alphas, subset, mode, eps):
-    """Solve the defining system for `subset`; returns a cone point with
-    active set exactly `subset`, or None.  Standalone so that it can be
-    cross-checked against brute-force cone enumeration."""
+    """Solve the defining system for `subset` by LP; returns a cone point
+    with active set exactly `subset`, or None.  Standalone, so that it
+    cross-checks the ray-based face lattice and brute-force cone
+    enumeration."""
     field = Field(mode, eps)
     n = len(alphas)
     subset = frozenset(subset)
-    if _is_dual_basis(alphas):
-        # The reduced system below is z_j <= -t, |z_j| <= 1, t <= 1 on the
-        # coordinates off `subset`: its unique optimum t = 1 forces z = -1.
-        if len(subset) == n:
-            return None
-        return [field.zero if s in subset else -field.one for s in range(n)]
     strict = [s for s in range(n) if s not in subset]
     if subset:
         kernel = field.kernel([alphas[s] for s in subset])
@@ -206,10 +242,11 @@ def build_polytope(pairs, labels=None, mode=None, eps=DEFAULT_EPS):
     """Build and validate a Coxeter polytope from (covector, polar) pairs.
 
     Checks: a_s(v_s) = 2, the pairing is a valid Cartan matrix, the cone has
-    nonempty interior, no covector is redundant, and the representation is
-    reduced (the covectors span the dual space).  On a line (vectors of
-    length 1) every hyperplane meets the cone in the empty face only, so
-    the redundancy check does not apply there.
+    nonempty interior (some extreme ray, and the facets common to all rays
+    are none), no covector is redundant (each {s} is its rays' common
+    facets), and the representation is reduced (the covectors span the dual
+    space).  On a line (vectors of length 1) every hyperplane meets the cone
+    in the empty face only, so the redundancy check does not apply there.
     """
     alphas = [list(a) for a, _ in pairs]
     polars = [list(v) for _, v in pairs]
@@ -234,12 +271,13 @@ def build_polytope(pairs, labels=None, mode=None, eps=DEFAULT_EPS):
         raise NotReducedError(
             "covectors do not span the dual space (representation not reduced)"
         )
-    interior = face_witness(alphas, (), field.mode, eps)
-    if interior is None:
+    rays = _extreme_rays(alphas, field)
+    interior, common = _ray_face(rays, (), n, field)
+    if interior is None or common:
         raise EmptyInteriorError("the cone {a_s <= 0} has empty interior")
     if dim > 1:
         for s in range(n):
-            if face_witness(alphas, (s,), field.mode, eps) is None:
+            if _ray_face(rays, (s,), n, field)[1] != {s}:
                 raise RedundantFacetError(f"covector {s} does not define a facet")
 
     return CoxeterPolytope(
@@ -249,7 +287,8 @@ def build_polytope(pairs, labels=None, mode=None, eps=DEFAULT_EPS):
         field.mode,
         eps,
         A.labels,
-        tuple(interior),
+        interior,
+        rays,
     )
 
 
@@ -277,23 +316,20 @@ def _restriction(P: CoxeterPolytope, subset):
 def defines_face(P: CoxeterPolytope, subset) -> FaceDescriptor | None:
     """Face descriptor for the facet subset, or None if it defines no face.
 
-    The empty set describes the interior; the full set always describes the
-    empty face (dimension -1).
+    The subset is a face exactly when the facet sets of the rays through it
+    intersect to it; the witness is the sum of those rays.  The empty set
+    describes the interior; the full set, through no ray, always describes
+    the empty face (dimension -1, no witness).
     """
     subset = tuple(sorted(set(subset)))
     for s in subset:
         if not 0 <= s < P.n:
             raise InputError(f"facet index {s} out of range")
-    link_cartan, link_type = _restriction(P, subset)
-    if len(subset) == P.n:
-        return FaceDescriptor(subset, -1, None, link_cartan, link_type)
-    if not subset:
-        return FaceDescriptor(subset, P.dim, P.interior, link_cartan, link_type)
-    witness = face_witness(P.alphas, subset, P.mode, P.eps)
-    if witness is None:
+    witness, common = _ray_face(P.rays, subset, P.n, P.field)
+    if common != set(subset):
         return None
     r = P.field.rank([P.alphas[s] for s in subset])
-    return FaceDescriptor(subset, P.dim - r, tuple(witness), link_cartan, link_type)
+    return FaceDescriptor(subset, P.dim - r, witness, *_restriction(P, subset))
 
 
 def enumerate_faces(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
@@ -378,8 +414,8 @@ def bigger_face(P: CoxeterPolytope, t1, t2):
     """Given disjoint T1, T2 with T1 orthogonal to T2 and T1 u T2 a face,
     return descriptors for T1 u T2^0, T1 u T2^0 u T2^+, T1 u T2^0 u T2^-.
 
-    These are guaranteed faces; the LP re-derives each witness, and a
-    failure is a hard error (it would falsify the lemma)."""
+    These are guaranteed faces; the ray closure re-derives each witness, and
+    a failure is a hard error (it would falsify the lemma)."""
     t1 = tuple(sorted(set(t1)))
     t2 = tuple(sorted(set(t2)))
     if set(t1) & set(t2):
@@ -402,8 +438,8 @@ def bigger_face(P: CoxeterPolytope, t1, t2):
         desc = defines_face(P, cand)
         if desc is None:
             raise ArithmeticError(
-                f"bigger-face candidate {cand} failed the face LP; "
-                "lemma and solver disagree"
+                f"bigger-face candidate {cand} failed the face test; "
+                "lemma and ray closure disagree"
             )
         out.append(desc)
     return tuple(out)

@@ -8,6 +8,7 @@ solver, which keeps its own tableau.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -108,9 +109,12 @@ def det(m):
     return sign * result
 
 
-def leading_principal_minors(m):
-    """Determinants of the leading k x k blocks, k = 1..n."""
-    return [det([row[: k + 1] for row in m[: k + 1]]) for k in range(len(m))]
+def coprime(vec):
+    """The coprime integers on the ray of a nonzero rational vector."""
+    den = math.lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = math.gcd(*ints)
+    return [x // g for x in ints]
 
 
 def inverse(m):

@@ -108,7 +108,7 @@ def scalar_repr(x) -> str:
 
 def sign_of(x, eps: float = 0.0) -> int:
     """Sign with a dead zone of width eps (eps=0 gives the exact sign)."""
-    if isinstance(x, Fraction) and eps == 0.0:
+    if isinstance(x, (Fraction, int)) and eps == 0.0:
         return (x > 0) - (x < 0)
     xf = float(x)
     if xf > eps:

@@ -7,6 +7,10 @@ reversed word.
 Planar cut bodies are checked against the brute-force vertex set: every
 point where two cut lines cross, kept when it satisfies every cut.
 
+The exact block type is checked against the principal-minor criteria for
+M-matrices, one fraction-free determinant per leading minor and per
+single-index deletion.
+
 The face conditions are checked through two formulations that share no code
 with the library's face machinery:
 
@@ -20,6 +24,7 @@ with the library's face machinery:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +110,52 @@ def brute_face_subsets(P):
             if primal_face_feasible(P, subset):
                 out.append(subset)
     return out
+
+
+def _bareiss_det(m):
+    """Determinant of an integer matrix by fraction-free elimination."""
+    m = [list(r) for r in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def _nonsingular_m_matrix(rows):
+    """All leading principal minors positive (a Z-matrix test)."""
+    return all(_bareiss_det([row[: k + 1] for row in rows[: k + 1]]) > 0 for k in range(len(rows)))
+
+
+def minor_block_type(rows):
+    """Exact type of an irreducible Cartan block by principal minors:
+    positive for a nonsingular M-matrix (all leading principal minors > 0);
+    zero for a singular irreducible M-matrix (determinant 0 and every
+    single-index deletion a nonsingular M-matrix); negative otherwise.
+
+    Each row is first scaled by the positive common denominator of its
+    entries, which keeps the sign of every principal minor."""
+    rows = [[int(x * math.lcm(*(y.denominator for y in row))) for x in row] for row in rows]
+    if _nonsingular_m_matrix(rows):
+        return "positive"
+    n = len(rows)
+    if _bareiss_det(rows) == 0 and all(
+        _nonsingular_m_matrix(
+            [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
+        )
+        for i in range(n)
+    ):
+        return "zero"
+    return "negative"
 
 
 def float_block_lambda(rows):

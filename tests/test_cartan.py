@@ -1,12 +1,15 @@
 """Cartan matrix validation, the type trichotomy, and sign witnesses."""
 
+import random
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vinberg import cartan
+from vinberg import cartan, ratlin
 from vinberg.cartan import (
     MIXED,
     NEGATIVE,
@@ -20,6 +23,10 @@ from vinberg.cartan import (
     witness_vector,
 )
 from vinberg.scalars import INFINITY, InputError
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+import oracles
 
 
 def test_validation_rejects_each_axiom_breach():
@@ -72,6 +79,94 @@ def test_classify_type_hand_cases():
     assert tag.overall == NEGATIVE
     # Perron eigenvalue of the free-product triangle: 2 - rho = 2 - 4 = -2.
     assert abs(tag.blocks[0].lam + 2.0) <= 1e-9
+
+
+def test_exact_block_type_from_pivots():
+    # (block, pivots of the elimination without row exchanges, type)
+    cases = [
+        ([[2]], [2], POSITIVE),
+        ([[2, -1], [-1, 2]], [2, Fraction(3, 2)], POSITIVE),
+        ([[2, -2], [-2, 2]], [2, 0], ZERO),  # affine A1
+        ([[2, -1, 0], [-1, 2, -1], [0, -3, 2]], [2, Fraction(3, 2), 0], ZERO),  # affine G2
+        ([[2, -3], [-3, 2]], [2, Fraction(-5, 2)], NEGATIVE),
+        # a zero pivot before the last one is negative type
+        ([[2, -2, -2], [-2, 2, -2], [-2, -2, 2]], [2, 0], NEGATIVE),
+    ]
+    for rows, pivots, tag in cases:
+        rows = [[Fraction(x) for x in row] for row in rows]
+        minors = [ratlin.det([r[: k + 1] for r in rows[: k + 1]]) for k in range(len(pivots))]
+        assert pivots == [m / prev for m, prev in zip(minors, [1] + minors)]
+        assert cartan._classify_block_exact(rows) == tag == oracles.minor_block_type(rows)
+
+
+def _connected_pattern(rng, n):
+    """Symmetric off-diagonal support of an irreducible block: a random
+    spanning tree plus random extra edges."""
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+    return edges
+
+
+# affine (zero-type) Cartan matrices: A1~ twice, A2~, A3~, C2~, G2~, D4~
+_AFFINE = (
+    [[2, -2], [-2, 2]],
+    [[2, -1], [-4, 2]],
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]],
+    [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
+    [[2, -1, 0], [-1, 2, -1], [0, -3, 2]],
+    [[2, -1, -1, -1, -1], [-1, 2, 0, 0, 0], [-1, 0, 2, 0, 0], [-1, 0, 0, 2, 0],
+     [-1, 0, 0, 0, 2]],
+)
+
+
+def _random_block(rng):
+    """(irreducible block with diagonal 2, its type by construction or None).
+
+    Free blocks draw their off-diagonal entries at random.  Row-sum blocks
+    are 2I - tB with B >= 0 of row sums 2, so the type is the sign of 1 - t
+    (zero at t = 1).  Row-sum and affine blocks are permuted and conjugated
+    by a positive diagonal, which keeps the type."""
+    kind = rng.random()
+    if kind < 0.4:
+        n = rng.randint(1, 5)
+        rows = [[Fraction(2) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+        for i, j in _connected_pattern(rng, n):
+            rows[i][j] = -Fraction(rng.randint(1, 6), rng.choice((1, 2, 3)))
+            rows[j][i] = -Fraction(rng.randint(1, 6), rng.choice((1, 2, 3)))
+        return rows, None
+    if kind < 0.85:
+        n = rng.randint(2, 5)
+        w = [[0] * n for _ in range(n)]
+        for i, j in _connected_pattern(rng, n):
+            w[i][j], w[j][i] = rng.randint(1, 4), rng.randint(1, 4)
+        t = rng.choice((Fraction(1), Fraction(1), Fraction(9, 10), Fraction(11, 10)))
+        rows = [
+            [Fraction(-2 * t.numerator * x, t.denominator * sum(row)) for x in row] for row in w
+        ]
+        for i in range(n):
+            rows[i][i] = Fraction(2)
+        tag = ZERO if t == 1 else POSITIVE if t < 1 else NEGATIVE
+    else:
+        rows = [[Fraction(x) for x in row] for row in rng.choice(_AFFINE)]
+        n, tag = len(rows), ZERO
+    perm = rng.sample(range(n), n)
+    d = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n)]
+    rows = [[rows[p][q] for q in perm] for p in perm]
+    return [[x * d[i] / d[j] if x and i != j else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)], tag
+
+
+def test_exact_block_type_matches_minor_oracle():
+    rng = random.Random(8)
+    counts = {POSITIVE: 0, ZERO: 0, NEGATIVE: 0}
+    for _ in range(20000):
+        rows, tag = _random_block(rng)
+        got = cartan._classify_block_exact(rows)
+        assert got == oracles.minor_block_type(rows)
+        assert tag is None or got == tag
+        counts[got] += 1
+    assert min(counts.values()) >= 2000, counts
 
 
 def test_classify_type_blocks_and_mixed():

@@ -1,5 +1,5 @@
-"""The face table: computed once per polytope, closed form for dual-basis
-covectors, exact LP otherwise.
+"""The face table: computed once per polytope from the extreme rays of its
+cone, with no LP; `face_witness` (the LP) is the standalone cross-check.
 
 The LP and `classify_type` counts below are machine-independent performance
 gates: they fail when a change makes a scan solve an LP or type a matrix
@@ -10,14 +10,16 @@ import itertools
 import math
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import corpus
-from vinberg import cartan, coxeter, decisions, polytope
+from vinberg import cartan, coxeter, decisions, polytope, ratlin
 from vinberg.cartan import validate_cartan
 from vinberg.decisions import (
     NotNegativeType,
@@ -29,6 +31,7 @@ from vinberg.decisions import (
 from vinberg.polytope import (
     build_polytope,
     classify_face,
+    defines_face,
     enumerate_faces,
     face_witness,
     is_2perfect,
@@ -66,16 +69,28 @@ def _decide_all(P):
             pass
 
 
-def _right_angled_pentagon():
-    """Regular right-angled hyperbolic pentagon in the hyperboloid model: a
-    negative-type polygon that is not a simplex (approx mode)."""
-    a2 = 1.0 / (1.0 - math.cos(2.0 * math.pi / 5))
+def _right_angled_polygon(k, rng=None):
+    """Regular right-angled hyperbolic k-gon in the hyperboloid model: a
+    negative-type polygon that is not a simplex (approx mode).  With `rng`
+    the facets are rescaled and moved by a projective change of
+    coordinates g, which keeps the polygon."""
+    a2 = 1.0 / (1.0 - math.cos(2.0 * math.pi / k))
     a, b = math.sqrt(a2), math.sqrt(a2 - 1.0)
+    g = np.eye(3)
+    if rng is not None:
+        g += np.array([[rng.uniform(-0.3, 0.3) for _ in range(3)] for _ in range(3)])
+    g_inv = np.linalg.inv(g)
     pairs = []
-    for i in range(5):
-        e = (a * math.cos(2 * math.pi * i / 5), a * math.sin(2 * math.pi * i / 5), b)
-        pairs.append(((e[0], e[1], -e[2]), (2 * e[0], 2 * e[1], 2 * e[2])))
+    for i in range(k):
+        e = np.array([a * math.cos(2 * math.pi * i / k), a * math.sin(2 * math.pi * i / k), b])
+        scale = 1.0 if rng is None else rng.uniform(0.5, 2.0)
+        alpha = scale * (e * [1.0, 1.0, -1.0]) @ g_inv
+        pairs.append((alpha.tolist(), (2.0 / scale * (g @ e)).tolist()))
     return build_polytope(pairs, mode="approx")
+
+
+def _right_angled_pentagon():
+    return _right_angled_polygon(5)
 
 
 def _random_cartan(rng, n):
@@ -88,12 +103,6 @@ def _random_cartan(rng, n):
             a = rng.choice((1, 2, 3))
             rows[s][t], rows[t][s] = -a, -(1 if a == 1 else rng.choice((1, 2, 3, 4)))
     return rows
-
-
-def _lp_witness(monkeypatch, alphas, subset, mode, eps):
-    with monkeypatch.context() as m:
-        m.setattr(polytope, "_is_dual_basis", lambda rows: False)
-        return face_witness(alphas, subset, mode, eps)
 
 
 def _all_subsets(n):
@@ -114,20 +123,61 @@ def test_corpus_scans_solve_no_lp(name, lp_count):
 @pytest.mark.parametrize("build", [corpus.square.__wrapped__, _right_angled_pentagon])
 def test_lattice_is_enumerated_once(build, lp_count):
     P = build()
-    lps_build = lp_count[0]
-    enumerate_faces(P)
-    lps_enumeration = lp_count[0] - lps_build
-    assert lps_build == P.n + 1 and lps_enumeration > 0
+    first = enumerate_faces(P)
+    _decide_all(P)
+    polytope.is_perfect(P)
+    polytope.is_quasiperfect(P)
+    for face in enumerate_faces(P):
+        classify_face(P, face.subset)
+    again = enumerate_faces(P)
+    assert len(again) == len(first) and all(a is b for a, b in zip(again, first))
+    assert lp_count[0] == 0
 
-    lp_count[0] = 0
-    Q = build()
-    _decide_all(Q)
-    polytope.is_perfect(Q)
-    polytope.is_quasiperfect(Q)
-    enumerate_faces(Q)
-    for face in enumerate_faces(Q):
-        classify_face(Q, face.subset)
-    assert lp_count[0] == lps_build + lps_enumeration
+
+def _projective_image(P, rng):
+    """The exact polytope with covectors a_s g and polars g^-1 v_s for a
+    random unimodular g: the same faces in other coordinates."""
+    d = P.dim + 1
+    while True:
+        g = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+        if abs(ratlin.det(ratlin.mat(g))) == 1:
+            break
+    g_inv = ratlin.inverse(ratlin.mat(g))
+    pairs = [
+        (ratlin.mat_mul([list(a)], g)[0], ratlin.mat_vec(g_inv, v))
+        for a, v in zip(P.alphas, P.polars)
+    ]
+    return build_polytope(pairs, labels=P.labels, mode="exact")
+
+
+def _oracle_polytopes():
+    rng = random.Random(5)
+    polys = [corpus.square(), _right_angled_pentagon()]
+    polys += [_right_angled_polygon(k, rng) for k in (5, 6, 7, 8)]
+    for name in sorted(corpus._BUILDERS):
+        P = corpus._BUILDERS[name]()
+        if P.mode == "exact":
+            polys.append(_projective_image(P, rng))
+    return polys
+
+
+def test_ray_lattice_agrees_with_the_lp_on_every_subset():
+    polys = _oracle_polytopes()
+    assert {P.mode for P in polys} == {"exact", "approx"}
+    for P in polys:
+        faces = []
+        proper = (c for size in range(P.n) for c in itertools.combinations(range(P.n), size))
+        for subset in proper:
+            desc = defines_face(P, subset)
+            assert (desc is None) == (face_witness(P.alphas, subset, P.mode, P.eps) is None)
+            if desc is None:
+                continue
+            faces.append(subset)
+            values = ratlin.mat_vec(P.alphas, desc.witness)
+            assert all(P.field.sign(v) == 0 for s, v in enumerate(values) if s in subset)
+            assert all(P.field.sign(v) < 0 for s, v in enumerate(values) if s not in subset)
+            assert desc.dim == P.dim - P.field.rank([P.alphas[s] for s in subset])
+        assert faces == [f.subset for f in enumerate_faces(P)]
 
 
 # classify_type calls of the four decisions on a fresh corpus polytope: one
@@ -168,7 +218,25 @@ def test_decisions_type_each_subset_once(name, monkeypatch):
         assert calls[0] == len(P._restrictions) + 1
 
 
-def test_closed_form_witness_equals_lp(monkeypatch):
+def test_pentagon_types_each_face_once(monkeypatch):
+    calls = [0]
+    original = cartan.classify_type
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for module in (cartan, polytope, coxeter, decisions):
+        monkeypatch.setattr(module, "classify_type", counted, raising=False)
+    P = _right_angled_pentagon()
+    _decide_all(P)
+    # 11 faces (the interior, 5 edges, 5 vertices), the full subset and the
+    # Gram matrix of the group class
+    assert len(enumerate_faces(P)) == 11
+    assert calls[0] == 13
+
+
+def test_ray_witness_equals_lp():
     rng = random.Random(20)
     polytopes = [corpus._BUILDERS[name]() for name in sorted(corpus._BUILDERS)]
     for _ in range(20):
@@ -177,20 +245,22 @@ def test_closed_form_witness_equals_lp(monkeypatch):
             polytopes.append(tits_polytope(validate_cartan(rows, mode=mode)))
     assert {P.mode for P in polytopes} == {"exact", "approx"}
     for P in polytopes:
-        assert polytope._is_dual_basis(P.alphas)
         for subset in _all_subsets(P.n):
-            got = face_witness(P.alphas, subset, P.mode, P.eps)
-            assert got == _lp_witness(monkeypatch, P.alphas, subset, P.mode, P.eps)
+            desc = defines_face(P, subset)
+            got = None if desc is None else desc.witness
+            want = face_witness(P.alphas, subset, P.mode, P.eps)
+            assert got == (None if want is None else tuple(want))
+            if got is not None:
+                kind = Fraction if P.mode == "exact" else float
+                assert all(type(x) is kind for x in got)
 
 
 def test_other_covectors_keep_the_lp(lp_count):
-    # a projective change of coordinates keeps the faces but not the closed
-    # form, so only the identity skips the LP
+    # a projective change of coordinates keeps the faces; the ray lattice
+    # finds them without an LP, the standalone face_witness by LP
     P = corpus.build("t6")
     g = [[1, 1, 0], [0, 1, 0], [0, 0, 2]]
     alphas = [[sum(a[k] * g[k][j] for k in range(3)) for j in range(3)] for a in P.alphas]
-    assert not polytope._is_dual_basis(alphas)
-    assert not polytope._is_dual_basis([[1, 0], [0, 1], [-1, -1]])
     faces = []
     for subset in _all_subsets(3):
         w = face_witness(alphas, subset, "exact", P.eps)

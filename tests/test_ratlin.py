@@ -35,16 +35,6 @@ def test_rank_and_rref():
     assert again == rows  # idempotent
 
 
-def test_leading_principal_minors():
-    minors = ratlin.leading_principal_minors(ratlin.mat([[2, -1], [-1, 2]]))
-    assert minors == [Fraction(2), Fraction(3)]
-    # A negative-type matrix flips the sign of the full determinant.
-    minors = ratlin.leading_principal_minors(
-        ratlin.mat([[2, -2, -2], [-2, 2, -2], [-2, -2, 2]])
-    )
-    assert minors[0] > 0 and minors[1] == 0 and minors[2] < 0
-
-
 def test_vector_matrix_products():
     m = ratlin.mat([[1, 2], [3, 4]])
     assert ratlin.mat_vec(m, [Fraction(1), Fraction(1)]) == [Fraction(3), Fraction(7)]
