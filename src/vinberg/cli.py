@@ -6,6 +6,10 @@ Exit codes: 0 for success (and mathematical Yes), 3 for a mathematical No,
 (two routes disagree, a certificate fails to check, the LP pivot cap).
 All reports are canonical JSON so identical runs produce identical bytes;
 artifacts (SVG, CSV) are deterministic for the same reason.
+
+`hilbert`, `limits` and `svg` load numpy, so `volume`, `tile` and
+`limit-set` import them only after their argument and document checks: the
+other commands on exact documents, and every input error, never load numpy.
 """
 
 from __future__ import annotations
@@ -25,13 +29,10 @@ from .decisions import (
     decide_unique_domain,
 )
 from .formats import build, canonical_json, parse, write_csv
-from .hilbert import GeometryError, volume_sequence, witness_chart
-from .limits import hull_of_limit_set, sample_limit_set
 from .linprog import LPError
 from .orbits import domain_approx, representation_report
 from .polytope import classify_face, enumerate_faces
 from .scalars import APPROX, EXACT, InputError, default_mode
-from .svg import conic_loop, render_points_svg, render_tiling_svg
 
 EXIT_YES = 0
 EXIT_INTERNAL = 1
@@ -164,6 +165,8 @@ def _cmd_volume(args):
     depth = _at_least(args.depth, 1, "--depth")
     samples = _at_least(args.samples, 1, "--samples")
     P = _load(args)
+    from .hilbert import volume_sequence
+
     seq = volume_sequence(
         P,
         depths=tuple(range(1, depth + 1)),
@@ -197,6 +200,9 @@ def _cmd_tile(args):
     P = _load(args)
     if P.dim != 2:
         raise InputError("tiling pictures are drawn for 2-dimensional polytopes only")
+    from .hilbert import witness_chart
+    from .svg import conic_loop, render_tiling_svg
+
     dom = domain_approx(P, depth)
     chart = witness_chart(P)
     conic = conic_loop(P, chart)
@@ -210,6 +216,10 @@ def _cmd_limit_set(args):
     count = _at_least(args.count, 1, "--count")
     words = _at_least(args.words, 2, "--words")  # no single reflection is proximal
     P = _load(args)
+    from .hilbert import GeometryError, witness_chart
+    from .limits import hull_of_limit_set, sample_limit_set
+    from .svg import conic_loop, render_points_svg
+
     # near-tie warnings become plain lines, like the sample's own notes
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

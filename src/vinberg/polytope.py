@@ -25,8 +25,6 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from . import ratlin
 from .cartan import (
     CartanMatrix,
@@ -162,6 +160,8 @@ def _extreme_rays(vectors, field):
         if 1 in signs:
             ray = [-r for r in ray]
         if not field.exact:
+            import numpy as np
+
             ray = (np.asarray(ray, dtype=float) / np.linalg.norm(ray)).tolist()
         ray = tuple(ray)
         key = field.key(ray)

@@ -85,30 +85,6 @@ def kernel_basis(m):
     return basis
 
 
-def det(m):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    if n == 0:
-        return ONE
-    rows = [list(r) for r in m]
-    sign = ONE
-    result = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        result *= p
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / p
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * result
-
-
 def coprime(vec):
     """The coprime integers on the ray of a nonzero rational vector."""
     den = math.lcm(*(x.denominator for x in vec))

@@ -8,7 +8,8 @@ Everything downstream runs in one of two arithmetics, each described by a
   goes through `ratlin`.
 * ``approx`` -- entries are binary64 floats; every sign test has the dead
   zone ``eps`` and results report margins instead of proofs.  Linear algebra
-  goes through numpy's SVD and least squares.
+  goes through numpy's SVD and least squares, imported on those branches
+  only, so exact work never loads numpy.
 
 The mode is decided once, where a matrix enters (`coerce`): a matrix (or
 polytope) is exact only if every entry is rational, a single irrational
@@ -25,8 +26,6 @@ import math
 import os
 import dataclasses
 from fractions import Fraction
-
-import numpy as np
 
 from . import ratlin
 
@@ -160,6 +159,8 @@ class Field:
             return 0
         if self.exact:
             return ratlin.rank([list(r) for r in rows])
+        import numpy as np
+
         a = np.array(rows, dtype=float)
         s = np.linalg.svd(a, compute_uv=False)
         if len(s) == 0 or s[0] == 0.0:
@@ -171,6 +172,8 @@ class Field:
         """Basis of the right kernel {x : rows . x = 0} of a nonempty matrix."""
         if self.exact:
             return ratlin.kernel_basis([list(r) for r in rows])
+        import numpy as np
+
         a = np.array(rows, dtype=float)
         _, s, vh = np.linalg.svd(a)
         tol = max(a.shape) * (s[0] if len(s) else 0.0) * 1e-13 + self.eps
@@ -182,6 +185,8 @@ class Field:
         (in approx mode: when the least-squares residual exceeds 100 eps)."""
         if self.exact:
             return ratlin.solve(m, b)
+        import numpy as np
+
         arr = np.array(m, dtype=float)
         rhs = np.array(b, dtype=float)
         sol, *_ = np.linalg.lstsq(arr, rhs, rcond=None)
@@ -192,6 +197,8 @@ class Field:
     def inverse(self, m):
         if self.exact:
             return ratlin.inverse(m)
+        import numpy as np
+
         return np.linalg.inv(np.array(m, dtype=float)).tolist()
 
 

@@ -9,7 +9,8 @@ point where two cut lines cross, kept when it satisfies every cut.
 
 The exact block type is checked against the principal-minor criteria for
 M-matrices, one fraction-free determinant per leading minor and per
-single-index deletion.
+single-index deletion.  `det`, the exact determinant of a rational matrix,
+serves the tests that need one; the library itself needs none.
 
 The face conditions are checked through two formulations that share no code
 with the library's face machinery:
@@ -110,6 +111,30 @@ def brute_face_subsets(P):
             if primal_face_feasible(P, subset):
                 out.append(subset)
     return out
+
+
+def det(m):
+    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    rows = [list(r) for r in m]
+    sign = Fraction(1)
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            sign = -sign
+        p = rows[c][c]
+        result *= p
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / p
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return sign * result
 
 
 def _bareiss_det(m):

@@ -5,8 +5,11 @@ Exit code contract: 0 = success / mathematical Yes, 3 = mathematical No,
 byte-identical across reruns with the same arguments.
 """
 
+import importlib
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +18,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import corpus
+import vinberg
 from vinberg import cli, decisions
 from vinberg.cli import run_command
 from vinberg.limits import sample_limit_set
@@ -278,3 +282,73 @@ def test_classify_report(tmp_path, capsys):
     assert report["irreducible_components"] == [[0, 1, 2]]
     rep = report["representation"]
     assert rep["irreducible"] is True and rep["cartan_rank"] == 3
+
+
+# A child that runs `vinberg.cli` as `python -m vinberg.cli` does and, on
+# exit, appends the names of the modules it loaded as its last stderr line.
+_CHILD = """
+import runpy, sys
+try:
+    runpy.run_module("vinberg.cli", run_name="__main__", alter_sys=True)
+finally:
+    sys.stderr.write("\\n" + " ".join(sorted(sys.modules)))
+"""
+
+_NUMPY_MODULES = {"numpy", "vinberg.hilbert", "vinberg.limits", "vinberg.svg"}
+
+
+def _child_env():
+    env = dict(os.environ)
+    env.pop("VINBERG_MODE", None)
+    src = str(Path(vinberg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize(
+    "argv, doc, code",
+    [
+        (["validate"], "tinf", 0),
+        (["classify"], "tinf", 0),
+        (["faces"], "tinf", 0),
+        (["decide", "finite-volume"], "t6", 3),
+        (["validate"], "truncated", 2),
+        (["volume", "--samples", "0"], "tinf", 2),
+        (["tile", "--out", "unused.svg"], "r4a", 2),
+    ],
+)
+def test_exact_documents_and_input_errors_never_load_numpy(tmp_path, capsys, argv, doc, code):
+    """Import cost is a gate: these commands load no numpy-backed module,
+    and the fresh process prints what `run_command` prints in-process."""
+    path = (
+        _write(tmp_path, '{"cartan_matrix": [[2, -1], [-1, 2]')
+        if doc == "truncated"
+        else _doc(tmp_path, doc)
+    )
+    args = [str(tmp_path / a) if a.startswith("unused") else a for a in argv] + [path]
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, *args],
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
+    )
+    err, _, modules = child.stderr.rpartition("\n")
+    assert not _NUMPY_MODULES & set(modules.split())
+    assert run_command(args) == child.returncode == code
+    captured = capsys.readouterr()
+    assert (child.stdout, err) == (captured.out, captured.err)
+
+
+def test_package_import_is_lazy():
+    probe = "import sys, vinberg; print(sorted(m for m in sys.modules if m.startswith('vinberg')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env(), check=True
+    ).stdout
+    assert out.split() == ["['vinberg']"]
+    for name in vinberg.__all__:
+        module = importlib.import_module("vinberg." + vinberg._EXPORTS[name])
+        assert getattr(vinberg, name) is getattr(module, name)
+    assert set(vinberg.__all__) <= set(dir(vinberg))
+    with pytest.raises(AttributeError):
+        vinberg.no_such_name
+    from vinberg import svg
+
+    assert svg is sys.modules["vinberg.svg"]

@@ -19,6 +19,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import corpus
+import oracles
 from vinberg import cartan, coxeter, decisions, polytope, ratlin
 from vinberg.cartan import validate_cartan
 from vinberg.decisions import (
@@ -140,7 +141,7 @@ def _projective_image(P, rng):
     d = P.dim + 1
     while True:
         g = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
-        if abs(ratlin.det(ratlin.mat(g))) == 1:
+        if abs(oracles.det(ratlin.mat(g))) == 1:
             break
     g_inv = ratlin.inverse(ratlin.mat(g))
     pairs = [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vinberg import ratlin
-from vinberg.cartan import NEGATIVE, classify_type, validate_cartan
+from vinberg.cartan import NEGATIVE, CartanValidationError, classify_type, validate_cartan
 from vinberg.decisions import decide_finite_volume
 from vinberg.polytope import tits_polytope
 from vinberg.scalars import APPROX, EXACT, Field, InputError, coerce
@@ -99,13 +99,50 @@ def negative_cartan_rows(draw):
     return rows
 
 
+def _negative_type(rows):
+    return classify_type(validate_cartan(rows)).overall == NEGATIVE
+
+
 @SLOW
-@given(negative_cartan_rows().filter(
-    lambda rows: classify_type(validate_cartan(rows)).overall == NEGATIVE
-))
+@given(negative_cartan_rows().filter(_negative_type))
 def test_finite_volume_verdict_is_mode_independent(rows):
     exact = decide_finite_volume(tits_polytope(validate_cartan(rows, mode=EXACT)))
     approx = decide_finite_volume(tits_polytope(validate_cartan(rows, mode=APPROX)))
     assert approx.answer == exact.answer
     assert approx.certificate == exact.certificate
     assert [r.certificate for r in approx.routes] == [r.certificate for r in exact.routes]
+
+
+# Products in (0, 4) that are not 4cos^2(pi/k) for any k (the nearest, 39/10,
+# misses 4cos^2(pi/20) by 2e-3, far outside eps).
+_BAD_PRODUCTS = (Fraction(1, 3), Fraction(1, 2), Fraction(5, 2), Fraction(7, 2), Fraction(39, 10))
+
+
+@st.composite
+def single_breach(draw):
+    """(rows, rule, position): a valid negative-type Cartan matrix with
+    exactly one axiom broken, and the violation `validate_cartan` reports."""
+    rows = draw(negative_cartan_rows().filter(_negative_type))
+    rule = draw(st.sampled_from(("diagonal", "nonpositive", "zero-symmetry", "product")))
+    s, t = draw(st.permutations(range(len(rows))))[:2]
+    if rule == "diagonal":
+        rows[s][s] = 2 + draw(st.sampled_from((-2, -1, Fraction(-1, 2), Fraction(1, 3), 1)))
+        return rows, rule, (s, s)
+    if rule == "nonpositive":
+        rows[s][t] = draw(st.sampled_from((Fraction(1, 2), Fraction(1), Fraction(3))))
+    elif rule == "zero-symmetry":  # one of the pair zero, the other not
+        rows[s][t] = -draw(st.sampled_from(_SPLITS)) if rows[t][s] == 0 else Fraction(0)
+    else:
+        a = draw(st.sampled_from(_SPLITS))
+        rows[s][t], rows[t][s] = -a, -draw(st.sampled_from(_BAD_PRODUCTS)) / a
+    return rows, rule, (min(s, t), max(s, t))
+
+
+@FAST
+@given(single_breach())
+def test_every_single_axiom_breach_is_rejected(breach):
+    rows, rule, pos = breach
+    for mode in (EXACT, APPROX):
+        with pytest.raises(CartanValidationError) as caught:
+            validate_cartan(rows, mode=mode)
+        assert [v[:2] for v in caught.value.violations] == [(rule, pos)]
