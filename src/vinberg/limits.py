@@ -90,53 +90,84 @@ def detect_proximal(matrix, word=(), eps_gap=EPS_GAP):
     the attracting direction would not be trustworthy."""
 
     m = np.asarray([[to_float(x) for x in row] for row in matrix], dtype=float)
-    n = m.shape[0]
-    vals, vecs = np.linalg.eig(m)
+    return _proximal_witnesses(m[None], [word], eps_gap)[0]
+
+
+def _dots(a, b):
+    """Row-wise dot products of (k, n) stacks (or one row broadcast), each the
+    BLAS dot of one row pair: the bits of `@` and `np.linalg.norm` on rows."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _proximal_witnesses(mats, words, eps_gap):
+    """The proximality test of `detect_proximal` on a (k, n, n) stack of float
+    matrices with one eigen-solve: a ProximalWitness or None per matrix, and
+    the warnings of the rejected ones raised in stack order."""
+
+    if not len(mats):
+        return []
+    vals, vecs = np.linalg.eig(mats)
     mods = np.abs(vals)
-    top = int(np.argmax(mods))
-    m0 = mods[top]
-    if m0 == 0.0:
-        return None
-    rest = np.delete(mods, top)
-    m1 = float(rest.max()) if rest.size else 0.0
-    ratio = m0 / m1 if m1 > 0 else float("inf")
-    if ratio <= 1.0 + eps_gap:
-        # ties carry ~1e-11 of float noise after long products; only a gap
-        # clearly above that is a genuine borderline worth a warning
-        if ratio > 1.0 + 1e-9:
-            warnings.warn(
-                "spectral gap %.3e is inside the proximality margin %.1e; "
-                "treating the element as non-proximal" % (ratio - 1.0, eps_gap)
+    rows = np.arange(len(mats))
+    top = mods.argmax(axis=1)
+    m0 = mods[rows, top]
+    rest = mods.copy()
+    rest[rows, top] = 0.0  # moduli are >= 0: the max of the others, or 0
+    m1 = rest.max(axis=1)
+    lam = vals[rows, top]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(m1 > 0, m0 / m1, np.inf)
+        # a contiguous copy: BLAS sums a strided row in another order
+        v = np.ascontiguousarray(vecs[rows, :, top].real)
+        nv = np.sqrt(_dots(v, v))
+        v = v / nv[:, None]
+        r = (mats @ v[:, :, None])[:, :, 0] - lam.real[:, None] * v
+        residual = np.sqrt(_dots(r, r))
+        scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+        k = np.abs(v).argmax(axis=1)
+        v = np.where((v[rows, k] < 0)[:, None], -v, v)
+        unreal = (np.abs(lam.imag) > 1e-9 * m0).tolist()
+        loose = (residual > 1e-8 * scale).tolist()
+    m0, ratio, nv, residual = m0.tolist(), ratio.tolist(), nv.tolist(), residual.tolist()
+    out = []
+    for t, word in enumerate(words):
+        wit = None
+        if m0[t] == 0.0:
+            pass
+        elif ratio[t] <= 1.0 + eps_gap:
+            # ties carry ~1e-11 of float noise after long products; only a gap
+            # clearly above that is a genuine borderline worth a warning
+            if ratio[t] > 1.0 + 1e-9:
+                warnings.warn(
+                    "spectral gap %.3e is inside the proximality margin %.1e; "
+                    "treating the element as non-proximal" % (ratio[t] - 1.0, eps_gap)
+                )
+        elif unreal[t]:
+            warnings.warn("dominant eigenvalue is not real; rejecting")
+        elif nv[t] == 0.0:
+            pass
+        elif loose[t]:
+            warnings.warn("attracting eigenvector residual %.3e too large" % residual[t])
+        else:
+            wit = ProximalWitness(
+                word=tuple(word),
+                matrix=tuple(map(tuple, mats[t].tolist())),
+                modulus=m0[t],
+                gap=ratio[t],
+                point=tuple(v[t].tolist()),
             )
-        return None
-    lam = vals[top]
-    if abs(lam.imag) > 1e-9 * m0:
-        warnings.warn("dominant eigenvalue is not real; rejecting")
-        return None
-    v = vecs[:, top].real
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return None
-    v = v / nv
-    residual = np.linalg.norm(m @ v - lam.real * v)
-    scale = max(1.0, float(np.abs(m).max()))
-    if residual > 1e-8 * scale:
-        warnings.warn("attracting eigenvector residual %.3e too large" % residual)
-        return None
-    k = int(np.argmax(np.abs(v)))
-    if v[k] < 0:
-        v = -v
-    return ProximalWitness(
-        word=tuple(word),
-        matrix=tuple(tuple(float(x) for x in row) for row in m),
-        modulus=float(m0),
-        gap=float(ratio),
-        point=tuple(float(x) for x in v),
-    )
+        out.append(wit)
+    return out
 
 
-def _word_matrices(P: CoxeterPolytope):
-    return [np.asarray([[to_float(x) for x in row] for row in g]) for g in generators(P)]
+def _word_products(gens, words):
+    """gens[w0] @ gens[w1] @ ... for every word, left to right, as one stacked
+    product per letter position over the words that long."""
+    mats = gens[[w[0] for w in words]]
+    for pos in range(1, max(map(len, words), default=0)):
+        live = [t for t, w in enumerate(words) if len(w) > pos]
+        mats[live] = mats[live] @ gens[[words[t][pos] for t in live]]
+    return mats
 
 
 def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0,
@@ -147,14 +178,19 @@ def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0,
     at `word_length`, no immediate letter repeats), keeps the proximal ones,
     and deduplicates the fixed points at resolution 10 * P.eps in the
     supporting-covector chart.  Each trial uses its own counter-based stream
-    keyed by (seed, trial), so results do not depend on evaluation order."""
+    keyed by (seed, trial), so results do not depend on evaluation order.
+    The words are multiplied out together and tested with one eigen-solve."""
 
+    if word_length < 1 or count < 0:
+        raise InputError(
+            f"need word_length >= 1 and count >= 0 (got {word_length}, {count})"
+        )
     tag = classify_type(P.cartan)
     if tag.overall != NEGATIVE:
         raise InputError("limit-set sampling needs a negative-type Cartan matrix")
     if P.n < 2:
         raise InputError("need at least two generators to form proximal words")
-    gens = _word_matrices(P)
+    gens = np.asarray([[[to_float(x) for x in row] for row in g] for g in generators(P)])
     ell0, _ = supporting_covector(P)
     ell = np.asarray([to_float(x) for x in ell0])
 
@@ -167,11 +203,7 @@ def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0,
 
     res = 10.0 * max(P.eps, 1e-300)
     p_len = 2.0 / max(word_length, 2)
-    seen = {}
-    points, witnesses = [], []
-    notes = []
-    proximal_hits = 0
-    worst_span = 0.0
+    words = []
     stream = _keyed_streams(seed)
     for trial in range(count):
         rng = stream(trial)
@@ -179,31 +211,37 @@ def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0,
         word = [int(rng.integers(P.n))]
         while len(word) < length:
             step = int(rng.integers(P.n - 1))
-            nxt = step if step < word[-1] else step + 1
-            word.append(nxt)
-        m = gens[word[0]]
-        for s in word[1:]:
-            m = m @ gens[s]
-        wit = detect_proximal(m, word=word, eps_gap=eps_gap)
-        if wit is None:
-            continue
-        proximal_hits += 1
-        v = np.asarray(wit.point)
-        denom = float(ell @ v)
-        if abs(denom) < 1e-12:
+            word.append(step if step < word[-1] else step + 1)
+        words.append(word)
+    wits = _proximal_witnesses(_word_products(gens, words), words, eps_gap)
+    hits = [(word, wit) for word, wit in zip(words, wits) if wit is not None]
+    # every hit's chart point and its distance to the polars' span, at once
+    v = np.asarray([wit.point for _, wit in hits]).reshape(len(hits), len(ell))
+    denom = _dots(v, ell)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = v / -denom[:, None]
+        keys = np.rint(v / res).tolist()  # rint and round() share half-to-even
+        coeff = (u_basis.T @ v[:, :, None])[:, :, 0]
+        off = v - (u_basis @ coeff[:, :, None])[:, :, 0]
+        span = (np.sqrt(_dots(off, off)) / np.sqrt(_dots(v, v))).tolist()
+    edge = (np.abs(denom) < 1e-12).tolist()
+    v = v.tolist()
+    seen = set()
+    points, witnesses = [], []
+    notes = []
+    worst_span = 0.0
+    for t, (word, wit) in enumerate(hits):
+        if edge[t]:
             notes.append("fixed point of word %r sits on the chart boundary" % (word,))
             continue
-        v = v / (-denom)
-        key = tuple(int(round(x / res)) for x in v)
+        key = tuple(keys[t])
         if key in seen:
             continue
-        seen[key] = True
-        coeff = u_basis.T @ v
-        span_res = float(np.linalg.norm(v - u_basis @ coeff) / np.linalg.norm(v))
-        worst_span = max(worst_span, span_res)
-        points.append(tuple(float(x) for x in v))
+        seen.add(key)
+        worst_span = max(worst_span, span[t])
+        points.append(tuple(v[t]))
         witnesses.append(wit)
-    if proximal_hits == 0:
+    if not hits:
         notes.append(
             "no proximal element among %d sampled words up to length %d; "
             "this is unexpected for a negative-type group" % (count, word_length)
@@ -305,24 +343,26 @@ def hull_of_limit_set(sample: LimitSetSample, chart):
     raise GeometryError("hulls are computed in dimension <= 3 only")
 
 
-def _point_segment_distance(points, a, b):
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return np.linalg.norm(points - a, axis=1)
-    t = np.clip((points - a) @ ab / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return np.linalg.norm(points - proj, axis=1)
+_EDGE_BLOCK = 256  # polygon edges per array step of the distance
 
 
 def _distance_to_polygon(points, body: HalfspaceBody):
+    """Distance from each point to a convex polygon (0 inside): to every edge
+    segment at once, a block of edges at a time."""
     points = np.atleast_2d(points)
     inside = np.all(points @ body.A.T - body.b <= 1e-12, axis=1)
     verts = body.vertices
+    ends = np.roll(verts, -1, axis=0)
     best = np.full(len(points), np.inf)
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        best = np.minimum(best, _point_segment_distance(points, a, b))
+    for start in range(0, len(verts), _EDGE_BLOCK):
+        a = verts[start : start + _EDGE_BLOCK]
+        ab = ends[start : start + _EDGE_BLOCK] - a
+        rel = points[None] - a[:, None]  # (edges, points, 2)
+        denom = ab[:, None, :] @ ab[:, :, None]  # (edges, 1, 1)
+        flat = denom == 0.0  # a degenerate edge: its first vertex is nearest
+        t = np.clip(rel @ ab[:, :, None] / np.where(flat, 1.0, denom), 0.0, 1.0)
+        proj = a[:, None] + np.where(flat, 0.0, t) * ab[:, None]
+        best = np.minimum(best, np.linalg.norm(points - proj, axis=-1).min(axis=0))
     best[inside] = 0.0
     return best
 

@@ -125,6 +125,19 @@ def _integer_rows(m):
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in m]
 
 
+def _stack_mul(a, b):
+    """Float matrix product a @ b, broadcast over the leading axes, with every
+    entry summed like `ratlin.mat_mul`: from zero, one term at a time in index
+    order.  BLAS (`@`) may fuse multiply-adds and move the last bits."""
+    import numpy as np
+
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.zeros(lead + (a.shape[-2], b.shape[-1]))
+    for k in range(a.shape[-1]):
+        out += a[..., :, k, None] * b[..., None, k, :]
+    return out
+
+
 def expand_orbit(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEMENTS):
     """Breadth-first ball of the generated group up to word length `depth`.
 
@@ -132,12 +145,14 @@ def expand_orbit(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEMEN
     reduced-on-the-right as visited; duplicate matrices are pruned, which
     quotients by all relations automatically.
 
-    Each element costs one matrix product.  Exact elements are held as
-    (integer numerators, denominator) over the generators' common
-    denominator, reduced by one gcd; that pair is unique, so it is its own
-    deduplication key.  Approx elements are float matrices keyed on a 1e-9
-    grid.  Every product found, new or not, is recorded in a transition
-    table child[i][s] = index of elements[i] . sigma_s, and the inverse of
+    Each level forms the products of its frontier by the generators in one
+    step, and one loop deduplicates them in (element, generator) order.
+    Exact elements are held as (integer numerators, denominator) over the
+    generators' common denominator, reduced by one gcd; that pair is unique,
+    so it is its own deduplication key.  Approx elements are float matrices,
+    a whole level in one stacked product, keyed on a 1e-9 grid.  Every
+    product found, new or not, is recorded in a transition table
+    child[i][s] = index of elements[i] . sigma_s, and the inverse of
     sigma_{w0} ... sigma_{wk} is read off by walking that table from the
     identity along wk, ..., w0."""
     field = P.field
@@ -161,30 +176,40 @@ def expand_orbit(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEMEN
                 return tuple([x // q for x in out]), d // q
             return tuple(out), d
 
-        def key(h):
-            return h
+        def step(frontier):
+            hs = []
+            for i in frontier:
+                # the product repeating a word's last letter is never used
+                last = words[i][-1] if words[i] else None
+                hs.append([None if s == last else product(elements[i], s) for s in range(P.n)])
+            return hs, hs
 
         ident = (tuple(int(i == j) for i in range(n) for j in range(n)), 1)
+        ident_key = ident
     else:
+        import numpy as np
 
-        def product(g, s):
-            return tuple(map(tuple, ratlin.mat_mul(g, gens[s])))
+        gen_stack = np.array(gens, dtype=float)
 
-        def key(h):
-            return field.key([x for row in h for x in row], _ORBIT_KEY_STEP)
+        def step(frontier):
+            hs = _stack_mul(np.array([elements[i] for i in frontier])[:, None], gen_stack)
+            # np.rint rounds half to even, like round(): the same grid cells
+            keys = np.rint(hs / _ORBIT_KEY_STEP).reshape(len(frontier), P.n, n * n)
+            return hs, [list(map(tuple, row)) for row in keys.tolist()]
 
-        ident = tuple(map(tuple, field.identity(n)))
+        ident = np.eye(n)
+        ident_key = tuple(np.rint(ident / _ORBIT_KEY_STEP).ravel().tolist())
     elements = [ident]
     words = [()]
     depths = [0]
     parents = [0]
     child = []  # one row per expanded element, in index order
-    seen = {key(ident): 0}
+    seen = {ident_key: 0}
     frontier = [0]
     for level in range(1, depth + 1):
+        products, keys = step(frontier)
         nxt = []
-        for idx in frontier:
-            g = elements[idx]
+        for idx, hs, ks in zip(frontier, products, keys):
             w = words[idx]
             row = []
             for s in range(P.n):
@@ -192,8 +217,7 @@ def expand_orbit(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEMEN
                     # sigma_s^2 = Id: never extend by the same letter
                     row.append(parents[idx])
                     continue
-                h = product(g, s)
-                k = key(h)
+                k = ks[s]
                 j = seen.get(k)
                 if j is None:
                     j = len(elements)
@@ -202,7 +226,7 @@ def expand_orbit(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEMEN
                             f"orbit ball exceeded {max_elements} elements at depth {level}"
                         )
                     seen[k] = j
-                    elements.append(h)
+                    elements.append(hs[s])
                     words.append(w + (s,))
                     depths.append(level)
                     parents.append(idx)
@@ -227,6 +251,8 @@ def expand_orbit(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEMEN
             tuple(tuple(map(fraction, nums[i : i + n], repeat(d))) for i in cuts)
             for nums, d in elements
         ]
+    else:
+        elements = [tuple(map(tuple, g)) for g in np.array(elements).tolist()]
     return OrbitBall(
         tuple(elements), tuple(words), tuple(depths), tuple(inverses), depth
     )
@@ -403,6 +429,8 @@ def domain_approx(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEME
     ball = expand_orbit(P, depth, max_elements)
     ell0, _ = supporting_covector(P)
     base = _cone_vertices(P)
+    import numpy as np
+
     if P.field.exact:
         # g . v over den(g) den(base) and ell0 . g over den(ell0) den(g), on
         # integer numerators
@@ -419,16 +447,17 @@ def domain_approx(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEME
             nums = [sum(map(mul, lnums, c)) for c in zip(*rows)]
             pushed.append(tuple(fraction(x, d * lden) for x in nums))
             pushed_floats.append([x / (d * lden) for x in nums])
+        rays = np.array(ray_floats, dtype=float).T  # dim x (tiles * verts)
     else:
-        tiles = [tuple(tuple(ratlin.mat_vec(g, v)) for v in base) for g in ball.elements]
-        pushed = [tuple(ratlin.mat_mul([ell0], g)[0]) for g in ball.elements]
-        ray_floats = [ray for tile in tiles for ray in tile]
-        pushed_floats = pushed
+        # the whole ball at once: g . v for every base vertex, and ell0 . g
+        stack = np.array(ball.elements, dtype=float)
+        images = _stack_mul(stack, np.array(base, dtype=float).T)  # (N, dim, verts)
+        rays = images.transpose(1, 0, 2).reshape(len(base[0]), -1)
+        tiles = [tuple(map(tuple, t)) for t in images.transpose(0, 2, 1).tolist()]
+        pushed_floats = _stack_mul(np.array([ell0], dtype=float), stack)[:, 0].tolist()
+        pushed = list(map(tuple, pushed_floats))
     # ell0 . g^{-1} is ell0 . g at the inverse's index: one product per element
     covs = [pushed[i] for i in ball.inverses]
-    import numpy as np
-
-    rays = np.array(ray_floats, dtype=float).T  # dim x (tiles * verts)
     # exact rays and covectors are rounded to float once; approx ones carry
     # the rounding of every product in the ball
     tol = 1e-12 if P.field.exact else 1e-7

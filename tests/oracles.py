@@ -12,6 +12,11 @@ M-matrices, one fraction-free determinant per leading minor and per
 single-index deletion.  `det`, the exact determinant of a rational matrix,
 serves the tests that need one; the library itself needs none.
 
+The limit-set sampler is checked against its per-trial form: each word
+multiplied out one `@` at a time and tested with its own eigen-solve
+(`per_trial_limit_sample`).  The frontier gap is checked against the
+per-edge point-to-segment loop (`per_edge_distance_to_polygon`).
+
 The face conditions are checked through two formulations that share no code
 with the library's face machinery:
 
@@ -26,13 +31,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog as scipy_lp
 
 from vinberg import ratlin
+from vinberg.cartan import NEGATIVE, classify_type
+from vinberg.hilbert import HalfspaceBody, _keyed_streams
+from vinberg.limits import EPS_GAP, LimitSetSample, ProximalWitness
 from vinberg.linprog import OPTIMAL, solve_lp
+from vinberg.orbits import generators, supporting_covector
+from vinberg.scalars import InputError, to_float
 
 
 def primal_face_feasible(P, subset):
@@ -276,3 +287,157 @@ def brute_orbit_ball(P, depth):
             inv = ratlin.mat_mul(inv, gens[s])
         inverses.append(seen.get(key(inv), -1))
     return tuple(elements), tuple(words), tuple(depths), tuple(inverses)
+
+
+def per_trial_detect_proximal(matrix, word=(), eps_gap=EPS_GAP):
+    """Return a ProximalWitness for `matrix`, or None.
+
+    The test is on the eigenvalue moduli: the top one must be simple, real,
+    and beat the runner-up by a relative factor > 1 + eps_gap.  Near-ties
+    inside the margin are reported as non-proximal with a warning because
+    the attracting direction would not be trustworthy."""
+
+    m = np.asarray([[to_float(x) for x in row] for row in matrix], dtype=float)
+    n = m.shape[0]
+    vals, vecs = np.linalg.eig(m)
+    mods = np.abs(vals)
+    top = int(np.argmax(mods))
+    m0 = mods[top]
+    if m0 == 0.0:
+        return None
+    rest = np.delete(mods, top)
+    m1 = float(rest.max()) if rest.size else 0.0
+    ratio = m0 / m1 if m1 > 0 else float("inf")
+    if ratio <= 1.0 + eps_gap:
+        # ties carry ~1e-11 of float noise after long products; only a gap
+        # clearly above that is a genuine borderline worth a warning
+        if ratio > 1.0 + 1e-9:
+            warnings.warn(
+                "spectral gap %.3e is inside the proximality margin %.1e; "
+                "treating the element as non-proximal" % (ratio - 1.0, eps_gap)
+            )
+        return None
+    lam = vals[top]
+    if abs(lam.imag) > 1e-9 * m0:
+        warnings.warn("dominant eigenvalue is not real; rejecting")
+        return None
+    v = vecs[:, top].real
+    nv = np.linalg.norm(v)
+    if nv == 0.0:
+        return None
+    v = v / nv
+    residual = np.linalg.norm(m @ v - lam.real * v)
+    scale = max(1.0, float(np.abs(m).max()))
+    if residual > 1e-8 * scale:
+        warnings.warn("attracting eigenvector residual %.3e too large" % residual)
+        return None
+    k = int(np.argmax(np.abs(v)))
+    if v[k] < 0:
+        v = -v
+    return ProximalWitness(
+        word=tuple(word),
+        matrix=tuple(tuple(float(x) for x in row) for row in m),
+        modulus=float(m0),
+        gap=float(ratio),
+        point=tuple(float(x) for x in v),
+    )
+
+
+def per_trial_limit_sample(P, word_length=12, count=200, seed=0, eps_gap=EPS_GAP):
+    """`sample_limit_set` one trial at a time: each word multiplied out left
+    to right with one `@` per letter, then tested by
+    `per_trial_detect_proximal`."""
+
+    tag = classify_type(P.cartan)
+    if tag.overall != NEGATIVE:
+        raise InputError("limit-set sampling needs a negative-type Cartan matrix")
+    if P.n < 2:
+        raise InputError("need at least two generators to form proximal words")
+    gens = [np.asarray([[to_float(x) for x in row] for row in g]) for g in generators(P)]
+    ell0, _ = supporting_covector(P)
+    ell = np.asarray([to_float(x) for x in ell0])
+
+    polar_mat = np.asarray(
+        [[to_float(x) for x in v] for v in P.polars], dtype=float
+    ).T
+    u_basis, _, _ = np.linalg.svd(polar_mat, full_matrices=False)
+    r = P.field.rank(P.polars)
+    u_basis = u_basis[:, :r]
+
+    res = 10.0 * max(P.eps, 1e-300)
+    p_len = 2.0 / max(word_length, 2)
+    seen = {}
+    points, witnesses = [], []
+    notes = []
+    proximal_hits = 0
+    worst_span = 0.0
+    stream = _keyed_streams(seed)
+    for trial in range(count):
+        rng = stream(trial)
+        length = int(min(word_length, max(2, rng.geometric(p_len))))
+        word = [int(rng.integers(P.n))]
+        while len(word) < length:
+            step = int(rng.integers(P.n - 1))
+            nxt = step if step < word[-1] else step + 1
+            word.append(nxt)
+        m = gens[word[0]]
+        for s in word[1:]:
+            m = m @ gens[s]
+        wit = per_trial_detect_proximal(m, word=word, eps_gap=eps_gap)
+        if wit is None:
+            continue
+        proximal_hits += 1
+        v = np.asarray(wit.point)
+        denom = float(ell @ v)
+        if abs(denom) < 1e-12:
+            notes.append("fixed point of word %r sits on the chart boundary" % (word,))
+            continue
+        v = v / (-denom)
+        key = tuple(int(round(x / res)) for x in v)
+        if key in seen:
+            continue
+        seen[key] = True
+        coeff = u_basis.T @ v
+        span_res = float(np.linalg.norm(v - u_basis @ coeff) / np.linalg.norm(v))
+        worst_span = max(worst_span, span_res)
+        points.append(tuple(float(x) for x in v))
+        witnesses.append(wit)
+    if proximal_hits == 0:
+        notes.append(
+            "no proximal element among %d sampled words up to length %d; "
+            "this is unexpected for a negative-type group" % (count, word_length)
+        )
+    return LimitSetSample(
+        points=tuple(points),
+        witnesses=tuple(witnesses),
+        word_length=word_length,
+        count=count,
+        seed=seed,
+        attempts=count,
+        span_residual=worst_span,
+        warnings=tuple(notes),
+    )
+
+
+def _point_segment_distance(points, a, b):
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return np.linalg.norm(points - a, axis=1)
+    t = np.clip((points - a) @ ab / denom, 0.0, 1.0)
+    proj = a + t[:, None] * ab
+    return np.linalg.norm(points - proj, axis=1)
+
+
+def per_edge_distance_to_polygon(points, body: HalfspaceBody):
+    """Distance from each point to a convex polygon (0 inside), one edge at
+    a time."""
+    points = np.atleast_2d(points)
+    inside = np.all(points @ body.A.T - body.b <= 1e-12, axis=1)
+    verts = body.vertices
+    best = np.full(len(points), np.inf)
+    for i in range(len(verts)):
+        a, b = verts[i], verts[(i + 1) % len(verts)]
+        best = np.minimum(best, _point_segment_distance(points, a, b))
+    best[inside] = 0.0
+    return best

@@ -6,6 +6,7 @@ product of the three reflections has characteristic polynomial
 """
 
 import math
+import random
 import sys
 import warnings
 from fractions import Fraction
@@ -17,9 +18,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import corpus
-from vinberg.hilbert import GeometryError, inner_hull_body, polygon_body, witness_chart
+import oracles
+from vinberg.cartan import NEGATIVE, classify_type, validate_cartan
+from vinberg.coxeter import coxeter_matrix, gram_matrix
+from vinberg.hilbert import (
+    GeometryError,
+    HalfspaceBody,
+    inner_hull_body,
+    polygon_body,
+    witness_chart,
+)
 from vinberg.limits import (
     LimitSetSample,
+    _distance_to_polygon,
+    _proximal_witnesses,
     detect_proximal,
     hausdorff_gap,
     hull_of_limit_set,
@@ -27,7 +39,8 @@ from vinberg.limits import (
     sample_limit_set,
 )
 from vinberg.orbits import domain_approx, generators, invariant_form, supporting_covector
-from vinberg.scalars import InputError, to_float
+from vinberg.polytope import tits_polytope
+from vinberg.scalars import INFINITY, InputError, to_float
 
 
 def _mat_mul(a, b):
@@ -89,6 +102,104 @@ def test_sampling_is_deterministic_and_clean():
     assert np.abs(np.einsum("ij,jk,ik->i", pts, G, pts)).max() <= 1e-9
 
 
+def _triangles(seed):
+    """Seeded hyperbolic triangles: float (an order off {2, 3, inf}), exact
+    (orders in {2, 3, inf}) and rational Cartan matrices of negative type."""
+    rng = random.Random(seed)
+
+    def orders(choices, exact):
+        while True:
+            m = [rng.choice(choices) for _ in range(3)]
+            if sum(0.0 if x == INFINITY else 1.0 / x for x in m) < 1.0 - 1e-9 and exact == all(
+                x in (2, 3, INFINITY) for x in m
+            ):
+                p, q, r = m
+                return tits_polytope(gram_matrix(coxeter_matrix([[1, p, q], [p, 1, r], [q, r, 1]])))
+
+    def cartan():
+        while True:
+            A = [[Fraction(2)] * 3 for _ in range(3)]
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                a = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+                A[i][j], A[j][i] = -a, -Fraction(rng.choice((8, 9, 10, 12)), 2) / a
+            C = validate_cartan(A, mode="exact")
+            if classify_type(C).overall == NEGATIVE:
+                return tits_polytope(C)
+
+    return [orders((2, 3, 4, 5, 7, INFINITY), False), orders((2, 3, INFINITY), True), cartan()]
+
+
+def _with_warnings(sampler, P, **kw):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = sampler(P, **kw)
+    return out, [str(w.message) for w in caught]
+
+
+_SAMPLER_CASES = [
+    *[(name, dict(word_length=10, count=150, seed=1)) for name in corpus.NAMES],
+    ("t23inf", dict(word_length=12, count=200, seed=0)),  # near-tie warnings
+    ("t23inf", dict(word_length=12, count=1, seed=4)),
+    ("t237", dict(word_length=12, count=0, seed=4)),
+    ("tinf", dict(word_length=2, count=60, seed=2)),
+    *[("triangle%d.%d" % (seed, k), dict(word_length=12, count=120, seed=seed))
+      for seed in (1, 2, 3) for k in range(3)],
+]
+
+
+def _case_polytope(name):
+    if name.startswith("triangle"):
+        seed, k = map(int, name[len("triangle"):].split("."))
+        return _triangles(seed)[k]
+    return corpus.build(name)
+
+
+@pytest.mark.parametrize("name, kw", _SAMPLER_CASES)
+def test_sampler_matches_the_per_trial_oracle(name, kw):
+    P = _case_polytope(name)
+    got = _with_warnings(sample_limit_set, P, **kw)
+    want = _with_warnings(oracles.per_trial_limit_sample, P, **kw)
+    # points, every witness field, span_residual, notes and raised warnings,
+    # in order; repr compares the floats bit for bit
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_one_stack_proximality_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(7)
+    mats = [
+        np.diag([2.0, 1.0, 0.5]),
+        np.diag([1.0, 1.0 + 5e-7, 0.3]),  # near tie, warned
+        np.diag([1.0, -1.0, 0.5]),  # exact tie, silent
+        np.zeros((3, 3)),  # no modulus at all
+        np.array([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # complex top
+        np.diag([-3.0, 1.0, 0.5]),  # negative top eigenvalue
+        *rng.normal(size=(40, 3, 3)),
+    ]
+    stack = np.array(mats)
+    words = [(i,) for i in range(len(mats))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _proximal_witnesses(stack, words, 1e-6)
+    with warnings.catch_warnings(record=True) as caught_one:
+        warnings.simplefilter("always")
+        want = [oracles.per_trial_detect_proximal(m, w, 1e-6) for m, w in zip(mats, words)]
+    assert repr(got) == repr(want)
+    assert [str(w.message) for w in caught] == [str(w.message) for w in caught_one]
+    assert sum(w is None for w in got) >= 4
+
+
+def test_sampling_rejects_invalid_sizes():
+    P = corpus.build("t237")
+    with pytest.raises(InputError, match="word_length >= 1"):
+        sample_limit_set(P, word_length=0, count=5)
+    with pytest.raises(InputError, match="count >= 0"):
+        sample_limit_set(P, word_length=4, count=-5)
+    empty = sample_limit_set(P, word_length=4, count=0)
+    assert empty.points == () and empty.attempts == 0
+    assert empty.warnings[0].startswith("no proximal element among 0 sampled words")
+
+
 def test_sampling_needs_negative_type():
     with pytest.raises(InputError):
         sample_limit_set(corpus.a2(), word_length=4, count=5, seed=0)
@@ -147,6 +258,45 @@ def test_hausdorff_gap_hand_values():
     assert hausdorff_gap(square(1.0), square(1.0)) == 0.0
     tri = polygon_body([(0, 0), (1, 0), (0, 1)])
     assert abs(hausdorff_gap(tri, polygon_body([(3, 0), (4, 0), (3, 1)])) - 3.0) <= 1e-12
+
+
+def _random_polygon(rng, k, radius=1.0, centre=(0.0, 0.0)):
+    angles = np.sort(rng.uniform(0.0, 2 * np.pi, size=k))
+    pts = radius * np.stack([np.cos(angles), 1.3 * np.sin(angles)], axis=1) + centre
+    return polygon_body(pts)
+
+
+def _gap_oracle(a, b):
+    d_ab = oracles.per_edge_distance_to_polygon(a.vertices, b).max()
+    d_ba = oracles.per_edge_distance_to_polygon(b.vertices, a).max()
+    return float(max(d_ab, d_ba))
+
+
+def test_frontier_gap_matches_the_per_edge_oracle():
+    rng = np.random.default_rng(11)
+    bodies = [
+        _random_polygon(rng, 900),  # several edge blocks
+        _random_polygon(rng, 600, radius=1.3, centre=(0.1, -0.2)),
+        polygon_body([(0.0, 0.0), (2.0, 0.1), (0.3, 1.7)]),  # a 3-vertex hull
+        _random_polygon(rng, 12, radius=0.9),
+        _random_polygon(rng, 40, radius=1.1, centre=(0.3, 0.0)),
+    ]
+    assert len(bodies[0].vertices) > 256 and len(bodies[2].vertices) == 3
+    for a in bodies:
+        for b in bodies:
+            assert hausdorff_gap(a, b) == _gap_oracle(a, b)
+    # a point cloud partly inside, partly outside, and a zero-length edge
+    pts = rng.uniform(-1.5, 1.5, size=(500, 2))
+    square = HalfspaceBody(
+        [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+        [1.0, 1.0, 1.0, 1.0],
+        vertices=[(-1.0, -1.0), (1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)],
+    )
+    for body in (*bodies, square):
+        got = _distance_to_polygon(pts, body)
+        want = oracles.per_edge_distance_to_polygon(pts, body)
+        assert 0 < (got == 0).sum() < len(pts)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_limit_hull_approaches_tiling_hull():

@@ -1,11 +1,13 @@
 """Reflection representation: orbits, relations, forms, and tilings."""
 
+import functools
 import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -145,6 +147,70 @@ def test_float_balls_count_like_exact_balls(name, size):
     for i, j in enumerate(ball.inverses):
         assert j >= 0 and ball.inverses[j] == i
         assert ball.depths[j] == ball.depths[i]
+
+
+# Exact entries with an invariant form: symmetric Cartan matrices.  t6 and t9
+# have none (their cycle products a12 a23 a31 and a21 a32 a13 differ: -3 vs
+# -2 and -9 vs -1, so the Cartan matrix is not symmetrizable).
+_FORM_CARTAN = [[2, Fraction(-5, 2), -3], [Fraction(-5, 2), 2, Fraction(-7, 3)],
+                [-3, Fraction(-7, 3), 2]]
+
+
+def _form_polytope(name):
+    if name == "cartan":
+        return tits_polytope(validate_cartan(_FORM_CARTAN, mode="exact"))
+    return corpus.build(name)
+
+
+def _approx_cartan_copy(P):
+    """The approx Tits polytope of P's Cartan matrix, as in
+    test_float_balls_count_like_exact_balls."""
+    return tits_polytope(validate_cartan(P.cartan.rows(), mode="approx"))
+
+
+def test_non_symmetrizable_entries_carry_no_form():
+    for name in ("t6", "t9"):
+        assert invariant_form(corpus.build(name)) is None
+    for name in ("t45", "t6", "t9", "aff"):
+        assert invariant_form(_approx_cartan_copy(corpus.build(name))) is None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["tinf", "t23inf", "seg", "cartan"]),
+    st.lists(st.integers(0, 5), min_size=1, max_size=12),
+)
+def test_random_words_preserve_the_form_exactly(name, letters):
+    P = _form_polytope(name)
+    G = invariant_form(P)
+    gens = generators(P)
+    g = gens[letters[0] % P.n]
+    for s in letters[1:]:
+        g = _mat_mul(g, gens[s % P.n])
+    assert P.mode == "exact"
+    assert _mat_mul(tuple(zip(*g)), _mat_mul(G, g)) == G
+
+
+@functools.lru_cache(maxsize=None)
+def _float_form_case(name):
+    """t237 or the approx copy of an exact entry, its form, and its batched
+    float ball at depth 8."""
+    P = corpus.build(name)
+    Q = P if P.mode == "approx" else _approx_cartan_copy(P)
+    return Q, invariant_form(Q), expand_orbit(Q, 8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["t237", "tinf", "t23inf", "seg"]), st.integers(0, 10**6))
+def test_float_ball_elements_preserve_the_form(name, pick):
+    import numpy as np
+
+    Q, G, ball = _float_form_case(name)
+    assert Q.mode == "approx"
+    G = np.array(G, dtype=float)
+    g = np.array(ball.elements[pick % len(ball)])
+    err = np.abs(g.T @ G @ g - G).max()
+    assert err <= 1e-9 * np.abs(G).max() * max(1.0, np.abs(g).max()) ** 2
 
 
 def test_orbit_inverses_and_words():
