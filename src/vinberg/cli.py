@@ -117,7 +117,7 @@ def _cmd_classify(args):
 def _cmd_faces(args):
     P = _load(args)
     rows = []
-    for face in enumerate_faces(P, max_facets=args.max_facets):
+    for face in enumerate_faces(P):
         entry = {
             "facets": [P.labels[s] for s in face.subset],
             "dim": face.dim,
@@ -228,7 +228,7 @@ def _cmd_limit_set(args):
     for note in [*raised, *sample.warnings]:
         sys.stderr.write(note + "\n")
     chart = witness_chart(P)
-    coords = [chart.to_chart(p) for p in sample.points]
+    coords = chart.to_chart(sample.points) if sample.points else []
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(write_csv(coords))
     if args.svg:
@@ -256,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="arithmetic mode (default: document/auto; env VINBERG_MODE)",
     )
     common.add_argument("--eps", type=float, default=1e-9, help="numeric tolerance")
-    common.add_argument(
-        "--max-facets", type=int, default=16, help="face-scan size guard"
-    )
 
     parser = argparse.ArgumentParser(
         prog="vinberg",

@@ -35,40 +35,50 @@ class GeometryError(InputError):
 # charts
 
 
+def _dot(X, M):
+    """X @ M summed over the shared axis in coordinate order, one elementwise
+    step per coordinate rather than BLAS: a row's result ignores its batch."""
+    return sum(np.multiply.outer(x_j, m_j) for x_j, m_j in zip(X.T, M))
+
+
 @dataclass(frozen=True)
 class Chart:
-    """Affine chart {x : ell(x) = -1} with coordinates along `basis`."""
+    """Affine chart {x : ell(x) = -1} with coordinates along `basis`.
+
+    The basis columns must be orthonormal: chart coordinates are the
+    orthogonal projection of x / (-ell . x) - origin onto them."""
 
     ell: np.ndarray  # (d+1,)
     origin: np.ndarray  # (d+1,), ell(origin) = -1
-    basis: np.ndarray  # (d+1, d), columns span ker ell
+    basis: np.ndarray  # (d+1, d), orthonormal columns spanning ker ell
 
     @property
     def dim(self):
         return self.basis.shape[1]
 
     def to_chart(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        denom = -(pts @ self.ell)
+        """Chart coordinates of points given along the last axis, in one
+        array of the same leading shape."""
+        pts = np.asarray(points, dtype=float)
+        flat = pts.reshape(-1, len(self.ell))
+        denom = -_dot(flat, self.ell)
         if (denom <= 0).any():
             raise GeometryError("point outside the chart (ell >= 0)")
-        affine = pts / denom[:, None] - self.origin
-        sol, *_ = np.linalg.lstsq(self.basis, affine.T, rcond=None)
-        out = sol.T
-        return out if np.asarray(points).ndim > 1 else out[0]
+        out = _dot(flat / denom[:, None] - self.origin, self.basis)
+        return out.reshape(pts.shape[:-1] + (self.dim,))
 
     def from_chart(self, coords):
-        U = np.atleast_2d(np.asarray(coords, dtype=float))
-        out = self.origin[None, :] + U @ self.basis.T
-        return out if np.asarray(coords).ndim > 1 else out[0]
+        U = np.asarray(coords, dtype=float)
+        out = self.origin + _dot(U.reshape(-1, self.dim), self.basis.T)
+        return out.reshape(U.shape[:-1] + (len(self.ell),))
 
-    def halfspace(self, covector):
-        """Chart form of the cone halfspace {covector <= 0}: (a, b) with
-        a . u <= b."""
-        cov = np.asarray([float(c) for c in covector])
-        a = self.basis.T @ cov
-        b = -float(cov @ self.origin)
-        return a, b
+    def halfspace(self, covectors):
+        """Chart form of the cone halfspaces {covector <= 0}: (a, b) with
+        a . u <= b, for one covector or (A, b) for a stack of them."""
+        cov = np.asarray(covectors, dtype=float)
+        flat = cov.reshape(-1, len(self.ell))
+        A, b = _dot(flat, self.basis), -_dot(flat, self.origin)
+        return (A, b) if cov.ndim > 1 else (A[0], float(b[0]))
 
 
 def witness_chart(P: CoxeterPolytope) -> Chart:
@@ -78,8 +88,8 @@ def witness_chart(P: CoxeterPolytope) -> Chart:
 
 
 def _chart_from(ell, interior):
-    ell = np.asarray([float(x) for x in ell])
-    x0 = np.asarray([float(x) for x in interior])
+    ell = np.asarray(ell, dtype=float)
+    x0 = np.asarray(interior, dtype=float)
     val = float(ell @ x0)
     if val >= 0:
         raise GeometryError("interior point is outside the chart")
@@ -140,7 +150,7 @@ class HalfspaceBody:
         E = np.atleast_2d(np.asarray(E, dtype=float))
         # facet-major rows, so each step reads contiguous memory; A u is summed
         # per coordinate, not by BLAS, so a point's norms ignore its batch
-        AU = sum(np.multiply.outer(a_j, u_j) for a_j, u_j in zip(self.A.T, U.T))
+        AU = _dot(self.A, U.T)
         slack = self.b[:, None] - AU  # (K, n), > 0 inside
         AE = self.A @ E.T  # (K, m)
         AE[np.abs(AE) <= 1e-14] = 0.0  # parallel to the facet, as in `hits`
@@ -507,40 +517,45 @@ def monotonicity_probe(domain_small, domain_big, target, samples, seed, angular=
 # bodies from orbit tilings
 
 
+_COLLINEAR = 1e-10  # relative size of a cross product too small to turn
+
+
 def _hull_2d(points):
-    """Andrew monotone chain; returns hull vertices counterclockwise."""
-    pts = sorted(set((float(x), float(y)) for x, y in points))
+    """Andrew monotone chain; returns hull vertices counterclockwise.
+
+    A turn o -> a -> b counts as left only when t1 - t2 > _COLLINEAR *
+    (|t1| + |t2|) for the cross product's terms t1, t2: the relative
+    error-bound form of the orientation test (Shewchuk 1997) with a band
+    far wider than one rounding, so points that the last bits of a chart
+    map could put on either side of a hull edge are dropped."""
+    pts = sorted(set(map(tuple, np.asarray(points, dtype=float).tolist())))
     if len(pts) <= 2:
         raise GeometryError("hull needs at least 3 distinct points")
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    def left(o, a, b):
+        t1 = (a[0] - o[0]) * (b[1] - o[1])
+        t2 = (a[1] - o[1]) * (b[0] - o[0])
+        return t1 - t2 > _COLLINEAR * (abs(t1) + abs(t2))
 
     lower = []
     for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+        while len(lower) >= 2 and not left(lower[-2], lower[-1], p):
             lower.pop()
         lower.append(p)
     upper = []
     for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and not left(upper[-2], upper[-1], p):
             upper.pop()
         upper.append(p)
     return np.asarray(lower[:-1] + upper[:-1])
 
 
 def _polygon_halfspaces(verts):
-    """CCW polygon vertices -> (A, b) rows with A u <= b inside."""
-    n = len(verts)
-    A = np.zeros((n, 2))
-    b = np.zeros(n)
-    for i in range(n):
-        p, q = verts[i], verts[(i + 1) % n]
-        e = q - p
-        normal = np.array([e[1], -e[0]])  # outward for ccw
-        A[i] = normal
-        b[i] = normal @ p
-    return A, b
+    """CCW polygon vertices -> (A, b) rows with A u <= b inside: each edge's
+    outward normal and its value on the edge's first vertex."""
+    e = np.roll(verts, -1, axis=0) - verts
+    A = np.stack([e[:, 1], -e[:, 0]], axis=1)
+    return A, A[:, 0] * verts[:, 0] + A[:, 1] * verts[:, 1]
 
 
 def polygon_body(vertices):
@@ -575,7 +590,7 @@ def inner_hull_body(dom: DomainApprox, chart: Chart, max_depth=None):
     if chart.dim != 2:
         raise GeometryError("inner hull bodies implemented in dimension 2")
     rays = [
-        [float(x) for x in ray]
+        ray
         for i, tile in enumerate(dom.tiles)
         if max_depth is None or dom.ball.depths[i] <= max_depth
         for ray in tile
@@ -588,26 +603,21 @@ def outer_cut_body(dom: DomainApprox, chart: Chart, max_depth=None):
     of the invariant domain); must come out bounded."""
     if chart.dim != 2:
         raise GeometryError("outer cut bodies implemented in dimension 2")
-    cuts = [
-        chart.halfspace(cov)
+    covs = [
+        cov
         for i, cov in enumerate(dom.covectors)
         if max_depth is None or dom.ball.depths[i] <= max_depth
     ]
-    return cut_body([a for a, _ in cuts], [b for _, b in cuts])
+    return cut_body(*chart.halfspace(covs))
 
 
 def fundamental_target(P: CoxeterPolytope, chart: Chart):
     """The fundamental polytope as a chart body (halfspaces + vertices)."""
-    A = []
-    b = []
-    for alpha in P.alphas:
-        a, bb = chart.halfspace(alpha)
-        A.append(a)
-        b.append(bb)
-    verts = [chart.to_chart([float(x) for x in f.witness]) for f in vertex_faces(P)]
-    if len(verts) < P.dim + 1:
+    vertices = vertex_faces(P)
+    if len(vertices) < P.dim + 1:
         raise GeometryError("fundamental polytope has too few vertices to box")
-    return HalfspaceBody(np.asarray(A), np.asarray(b), vertices=np.asarray(verts))
+    A, b = chart.halfspace(P.alphas)
+    return HalfspaceBody(A, b, vertices=chart.to_chart([f.witness for f in vertices]))
 
 
 def conic_body(P: CoxeterPolytope, chart: Chart, G=None):
@@ -617,7 +627,7 @@ def conic_body(P: CoxeterPolytope, chart: Chart, G=None):
         G = invariant_form(P)
     if G is None:
         raise GeometryError("polytope has no invariant form")
-    Gf = np.asarray([[float(x) for x in row] for row in G])
+    Gf = np.asarray(G, dtype=float)
     Bmat = chart.basis
     o = chart.origin
     Q2 = Bmat.T @ Gf @ Bmat

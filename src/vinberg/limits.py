@@ -26,7 +26,7 @@ from .cartan import NEGATIVE, classify_type, irreducible_components
 from .hilbert import GeometryError, HalfspaceBody, _keyed_streams, polygon_body
 from .orbits import generators, supporting_covector
 from .polytope import CoxeterPolytope, _extreme_rays, vertex_faces
-from .scalars import InputError, to_float
+from .scalars import InputError
 
 EPS_GAP = 1e-6
 
@@ -89,7 +89,7 @@ def detect_proximal(matrix, word=(), eps_gap=EPS_GAP):
     inside the margin are reported as non-proximal with a warning because
     the attracting direction would not be trustworthy."""
 
-    m = np.asarray([[to_float(x) for x in row] for row in matrix], dtype=float)
+    m = np.asarray(matrix, dtype=float)
     return _proximal_witnesses(m[None], [word], eps_gap)[0]
 
 
@@ -190,13 +190,11 @@ def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0,
         raise InputError("limit-set sampling needs a negative-type Cartan matrix")
     if P.n < 2:
         raise InputError("need at least two generators to form proximal words")
-    gens = np.asarray([[[to_float(x) for x in row] for row in g] for g in generators(P)])
+    gens = np.asarray(generators(P), dtype=float)
     ell0, _ = supporting_covector(P)
-    ell = np.asarray([to_float(x) for x in ell0])
+    ell = np.asarray(ell0, dtype=float)
 
-    polar_mat = np.asarray(
-        [[to_float(x) for x in v] for v in P.polars], dtype=float
-    ).T
+    polar_mat = np.asarray(P.polars, dtype=float).T
     u_basis, _, _ = np.linalg.svd(polar_mat, full_matrices=False)
     r = P.field.rank(P.polars)
     u_basis = u_basis[:, :r]
@@ -313,7 +311,7 @@ def hull_of_limit_set(sample: LimitSetSample, chart):
 
     if not sample.points:
         raise GeometryError("empty limit-set sample has no hull")
-    pts = np.asarray([chart.to_chart(p) for p in sample.points], dtype=float)
+    pts = chart.to_chart(sample.points)
     d = pts.shape[1]
     centered = pts - pts.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)

@@ -40,9 +40,6 @@ from .cartan import (
 from .linprog import OPTIMAL, maximize_with_free_vars
 from .scalars import DEFAULT_EPS, Field, InputError, coerce
 
-DEFAULT_MAX_FACETS = 16
-
-
 class PolytopeError(InputError):
     pass
 
@@ -332,23 +329,19 @@ def defines_face(P: CoxeterPolytope, subset) -> FaceDescriptor | None:
     return FaceDescriptor(subset, P.dim - r, witness, *_restriction(P, subset))
 
 
-def enumerate_faces(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
+def enumerate_faces(P: CoxeterPolytope):
     """All proper faces plus the interior, ordered by (size, lex), as a new
     list read from the polytope's face table.
 
     The empty face is implicit except in the degenerate d = 0 case, where it
     is the only other stratum and is reported for visibility.
     """
-    if P.n > max_facets:
-        raise PolytopeError(
-            f"face enumeration over {P.n} facets exceeds the cap {max_facets}"
-        )
     return list(P.face_table)
 
 
-def vertex_faces(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
+def vertex_faces(P: CoxeterPolytope):
     """Descriptors of the vertices (the faces of dimension 0)."""
-    return [f for f in enumerate_faces(P, max_facets) if f.dim == 0 and f.subset]
+    return [f for f in enumerate_faces(P) if f.dim == 0 and f.subset]
 
 
 def classify_face(P: CoxeterPolytope, subset) -> FaceClass:
@@ -529,19 +522,17 @@ def decompose(P: CoxeterPolytope):
 # perfection predicates
 
 
-def is_perfect(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
+def is_perfect(P: CoxeterPolytope):
     """(flag, offending vertices): perfect when every vertex link is of
     positive type (elliptic)."""
-    bad = tuple(
-        v for v in vertex_faces(P, max_facets) if v.link_type.overall != POSITIVE
-    )
+    bad = tuple(v for v in vertex_faces(P) if v.link_type.overall != POSITIVE)
     return (not bad, bad)
 
 
-def is_quasiperfect(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
+def is_quasiperfect(P: CoxeterPolytope):
     """(flag, offending vertices): vertices must be elliptic or parabolic."""
     bad = []
-    for v in vertex_faces(P, max_facets):
+    for v in vertex_faces(P):
         if v.link_type.overall == POSITIVE:
             continue
         fc = classify_face(P, v.subset)
@@ -551,12 +542,12 @@ def is_quasiperfect(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
     return (not bad, tuple(bad))
 
 
-def is_2perfect(P: CoxeterPolytope, max_facets=DEFAULT_MAX_FACETS):
+def is_2perfect(P: CoxeterPolytope):
     """(flag, offending vertices): every vertex link must be perfect."""
     bad = []
-    for v in vertex_faces(P, max_facets):
+    for v in vertex_faces(P):
         link_poly = link(P, v.subset)
-        ok, _ = is_perfect(link_poly, max_facets)
+        ok, _ = is_perfect(link_poly)
         if not ok:
             bad.append(v)
     return (not bad, tuple(bad))

@@ -78,10 +78,6 @@ def _document(body: str, style: str, metadata: dict) -> str:
     )
 
 
-def _chart_points(chart, cone_points):
-    return [np.asarray(chart.to_chart(p), dtype=float) for p in cone_points]
-
-
 def render_tiling_svg(dom, chart, conic_points=None) -> str:
     """SVG of an orbit tiling in a planar chart.
 
@@ -91,18 +87,15 @@ def render_tiling_svg(dom, chart, conic_points=None) -> str:
     tile carries the `fundamental` class.  Tile counts per word length go
     into the metadata block."""
 
-    tile_polys = []
-    for rays in dom.tiles:
-        poly = _chart_points(chart, rays)
-        if len(poly) < 3 or len(poly[0]) != 2:
-            raise GeometryError("tiling pictures need a planar chart")
-        tile_polys.append(poly)
+    tile_polys = chart.to_chart(dom.tiles)  # (tiles, rays, chart dim)
+    if tile_polys.shape[1] < 3 or tile_polys.shape[2] != 2:
+        raise GeometryError("tiling pictures need a planar chart")
 
     depths = list(dom.ball.depths)
     max_depth = max(depths)
-    everything = [p for poly in tile_polys for p in poly]
+    everything = tile_polys.reshape(-1, 2)
     if conic_points is not None and len(conic_points):
-        everything.extend(np.asarray(q, dtype=float) for q in conic_points)
+        everything = np.concatenate([everything, np.asarray(conic_points, dtype=float)])
     fit = _Fit(everything)
 
     counts = [0] * (max_depth + 1)

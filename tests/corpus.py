@@ -9,8 +9,11 @@ as frozen oracles, not as values to regenerate from the library itself.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from vinberg import (
     INFINITY,
@@ -201,3 +204,23 @@ def t601():
     """Triangle with a single product-6 vertex and an order-2 pair; loxodromic
     corner, so volumes diverge with depth."""
     return _tits([[2, -2, 0], [-3, 2, -1], [0, -1, 2]])
+
+
+def right_angled_polygon_pairs(k, rng=None):
+    """(covector, polar) pairs of a regular right-angled hyperbolic k-gon in
+    the hyperboloid model: a negative-type polygon that is not a simplex
+    (approx mode).  With `rng` the facets are rescaled and moved by a
+    projective change of coordinates g, which keeps the polygon."""
+    a2 = 1.0 / (1.0 - math.cos(2.0 * math.pi / k))
+    a, b = math.sqrt(a2), math.sqrt(a2 - 1.0)
+    g = np.eye(3)
+    if rng is not None:
+        g += np.array([[rng.uniform(-0.3, 0.3) for _ in range(3)] for _ in range(3)])
+    g_inv = np.linalg.inv(g)
+    pairs = []
+    for i in range(k):
+        e = np.array([a * math.cos(2 * math.pi * i / k), a * math.sin(2 * math.pi * i / k), b])
+        scale = 1.0 if rng is None else rng.uniform(0.5, 2.0)
+        alpha = scale * (e * [1.0, 1.0, -1.0]) @ g_inv
+        pairs.append((alpha.tolist(), (2.0 / scale * (g @ e)).tolist()))
+    return pairs

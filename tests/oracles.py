@@ -5,7 +5,10 @@ Orbit balls are checked against the plain breadth-first search: one
 reversed word.
 
 Planar cut bodies are checked against the brute-force vertex set: every
-point where two cut lines cross, kept when it satisfies every cut.
+point where two cut lines cross, kept when it satisfies every cut.  The
+chart map, an orthogonal projection, is checked against the least-squares
+solve for the coordinates of a point along the chart basis
+(`lstsq_to_chart`).
 
 The exact block type is checked against the principal-minor criteria for
 M-matrices, one fraction-free determinant per leading minor and per
@@ -241,6 +244,15 @@ def cut_vertices(A, b, tol=1e-9):
         ):
             out.append(u)
     return np.asarray(out)
+
+
+def lstsq_to_chart(chart, points):
+    """Chart coordinates of a stack of cone points as the least-squares
+    solution u of basis u = x / (-ell . x) - origin, all points in one solve."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    affine = pts / -(pts @ chart.ell)[:, None] - chart.origin
+    sol, *_ = np.linalg.lstsq(chart.basis, affine.T, rcond=None)
+    return sol.T
 
 
 def brute_orbit_ball(P, depth):

@@ -7,13 +7,11 @@ again, whatever the wall time.
 """
 
 import itertools
-import math
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -71,23 +69,7 @@ def _decide_all(P):
 
 
 def _right_angled_polygon(k, rng=None):
-    """Regular right-angled hyperbolic k-gon in the hyperboloid model: a
-    negative-type polygon that is not a simplex (approx mode).  With `rng`
-    the facets are rescaled and moved by a projective change of
-    coordinates g, which keeps the polygon."""
-    a2 = 1.0 / (1.0 - math.cos(2.0 * math.pi / k))
-    a, b = math.sqrt(a2), math.sqrt(a2 - 1.0)
-    g = np.eye(3)
-    if rng is not None:
-        g += np.array([[rng.uniform(-0.3, 0.3) for _ in range(3)] for _ in range(3)])
-    g_inv = np.linalg.inv(g)
-    pairs = []
-    for i in range(k):
-        e = np.array([a * math.cos(2 * math.pi * i / k), a * math.sin(2 * math.pi * i / k), b])
-        scale = 1.0 if rng is None else rng.uniform(0.5, 2.0)
-        alpha = scale * (e * [1.0, 1.0, -1.0]) @ g_inv
-        pairs.append((alpha.tolist(), (2.0 / scale * (g @ e)).tolist()))
-    return build_polytope(pairs, mode="approx")
+    return build_polytope(corpus.right_angled_polygon_pairs(k, rng), mode="approx")
 
 
 def _right_angled_pentagon():

@@ -356,6 +356,49 @@ def test_tiling_hull_bodies_nest():
     assert outer6.contains(inner6.vertices).all()
 
 
+def _tile_rays(name, depth=6):
+    P = corpus.build(name)
+    dom = domain_approx(P, depth)
+    rays = np.asarray([ray for tile in dom.tiles for ray in tile], dtype=float)
+    return P, dom, witness_chart(P), rays
+
+
+def _assert_batch_free(f, rows):
+    """f on a stack of rows equals f row by row and f on the reversed stack,
+    bit for bit; returns f(rows)."""
+    batch = f(rows)
+    assert np.array_equal(batch, [f(row) for row in rows])
+    assert np.array_equal(batch, f(rows[::-1])[::-1])
+    return batch
+
+
+@pytest.mark.parametrize("name", ["t237", "tinf", "t45"])
+def test_chart_maps_do_not_depend_on_the_batch(name):
+    P, dom, chart, rays = _tile_rays(name)
+    coords = _assert_batch_free(chart.to_chart, rays)
+    _assert_batch_free(chart.from_chart, coords)
+    covs = np.asarray(dom.covectors, dtype=float)
+    _assert_batch_free(lambda c: chart.halfspace(c)[0], covs)
+    _assert_batch_free(lambda c: chart.halfspace(c)[1], covs)
+    # the stacked chart maps are the maps of the stacks' rows
+    assert np.array_equal(chart.to_chart(rays.reshape(len(dom.tiles), -1, 3)),
+                          coords.reshape(len(dom.tiles), -1, 2))
+
+
+@pytest.mark.parametrize("name", sorted(corpus._BUILDERS))
+def test_chart_projection_matches_the_least_squares_oracle(name):
+    P, _, chart, rays = _tile_rays(name)
+    assert np.abs(chart.to_chart(rays) - oracles.lstsq_to_chart(chart, rays)).max() <= 1e-13
+    assert np.allclose(chart.from_chart(chart.to_chart(rays)),
+                       rays / -(rays @ chart.ell)[:, None], rtol=0.0, atol=1e-12)
+    if P.dim == 2:
+        # the collinearity band absorbs the oracle's batch-dependent rounding:
+        # the projection and the oracle, batched or per ray, give one hull
+        maps = [chart.to_chart(rays), oracles.lstsq_to_chart(chart, rays),
+                np.concatenate([oracles.lstsq_to_chart(chart, ray) for ray in rays])]
+        assert len({len(hilbert._hull_2d(u)) for u in maps}) == 1
+
+
 def test_conic_volume_near_hyperbolic_area():
     # Cheap version of the flagship measurement: 50k samples already land
     # within ~1% of the hyperbolic area pi/42 of the fundamental triangle.

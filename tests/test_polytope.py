@@ -1,5 +1,6 @@
 """Polytope construction, the face lattice, links, joins, and perfection."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import corpus
 import oracles
 from vinberg.cartan import NEGATIVE, POSITIVE, ZERO, restrict
+from vinberg.cli import run_command
 from vinberg.polytope import (
     EmptyInteriorError,
     NotReducedError,
@@ -112,9 +114,16 @@ def test_enumeration_matches_independent_lp():
         assert got == want
 
 
-def test_enumeration_respects_cap():
-    with pytest.raises(PolytopeError):
-        enumerate_faces(corpus.build("t6"), max_facets=2)
+def test_enumeration_has_no_facet_cap(tmp_path, capsys):
+    # no fixed cap on the facet count: a 17-gon has 17 edges, 17 vertices
+    # and the interior, and the command line decides on it too
+    pairs = corpus.right_angled_polygon_pairs(17)
+    assert len(enumerate_faces(build_polytope(pairs, mode="approx"))) == 2 * 17 + 1
+    doc = {"generators": [{"alpha": a, "v": v} for a, v in pairs], "mode": "approx"}
+    path = tmp_path / "gon17.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["decide", "finite-volume", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["answer"] is True
 
 
 def test_classify_face_trichotomy():
