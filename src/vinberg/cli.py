@@ -20,7 +20,7 @@ import sys
 import warnings
 from dataclasses import asdict
 
-from .cartan import classify_type, irreducible_components
+from .cartan import irreducible_components
 from .coxeter import classify_group, coxeter_from_cartan
 from .decisions import (
     RouteDisagreement,
@@ -78,7 +78,7 @@ def _emit(report, out_path=None):
 
 def _cmd_validate(args):
     P = _load(args)
-    tag = classify_type(P.cartan)
+    tag = P.type_tag
     report = {
         "valid": True,
         "mode": P.mode,
@@ -93,7 +93,7 @@ def _cmd_validate(args):
 
 def _cmd_classify(args):
     P = _load(args)
-    tag = classify_type(P.cartan)
+    tag = P.type_tag
     group = classify_group(coxeter_from_cartan(P.cartan), eps=P.eps)
     rep = representation_report(P)
     report = {

@@ -18,7 +18,6 @@ from .cartan import NEGATIVE, irreducible_components
 from .coxeter import LARGE, classify_group, coxeter_from_cartan
 from .polytope import (
     CoxeterPolytope,
-    _restriction,
     classify_face,
     decompose,
     enumerate_faces,
@@ -52,19 +51,11 @@ class Verdict:
     routes: tuple
 
 
-def _overall_type(P: CoxeterPolytope):
-    """Type of the whole Cartan matrix, classified once per polytope with
-    the face table's restrictions (the full subset)."""
-    return _restriction(P, tuple(range(P.n)))[1]
-
-
 def _require_negative(P: CoxeterPolytope):
-    tag = _overall_type(P)
-    if tag.overall != NEGATIVE:
+    if P.type_tag.overall != NEGATIVE:
         raise NotNegativeType(
-            "question needs a negative-type system; this one is %s" % tag.overall
+            "question needs a negative-type system; this one is %s" % P.type_tag.overall
         )
-    return tag
 
 
 def _subset_labels(P: CoxeterPolytope, subset):
@@ -170,7 +161,7 @@ def decide_min_domain_equals_vinberg(P: CoxeterPolytope) -> Verdict:
     reports = []
     answer = True
     for factor, block in zip(factors, blocks):
-        negative = _overall_type(factor).overall == NEGATIVE
+        negative = factor.type_tag.overall == NEGATIVE
         qp, offenders = is_quasiperfect(factor)
         ok = negative and qp
         answer = answer and ok

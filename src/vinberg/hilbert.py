@@ -429,32 +429,29 @@ def _stratum_sums(values, cell_vol, sums=None):
     )
 
 
-def estimate_volume(
-    domain, target, samples, seed, angular=256, depth=None, bbox=None
-):
+def estimate_volume(domain, target, samples, seed, angular=256):
     """Busemann volume of `target` inside `domain` by stratified Monte-Carlo.
 
-    `domain` may be a chart body or a DomainApprox+Chart pair prepared with
-    `inner_hull_body`.  Deterministic in (seed, samples): the sampler is a
-    counter-based generator keyed by (seed, stratum)."""
-    (est,) = paired_volumes([domain], target, samples, seed, angular, bbox=bbox)
-    return replace(est, depth=depth)
+    `domain` is a chart body (a `HalfspaceBody` or a `QuadricBody`), and
+    the samples are drawn from `target`'s bounding box.  Deterministic in
+    (seed, samples): the sampler is a counter-based generator keyed by
+    (seed, stratum)."""
+    (est,) = paired_volumes([domain], target, samples, seed, angular)
+    return est
 
 
-def paired_volumes(
-    domains, target, samples, seed, angular=256, bbox=None, nesting=None
-):
+def paired_volumes(domains, target, samples, seed, angular=256, nesting=None):
     """Volume estimates for several domains sharing identical sample points.
 
     nesting="increasing" asserts the domains are nested increasingly (so
     densities must not increase along the list); "decreasing" the reverse.
     Violations beyond tolerance raise, as they expose an input bug."""
-    ests, _, _ = _paired_mc(domains, target, samples, seed, angular, bbox, nesting)
+    ests, _, _ = _paired_mc(domains, target, samples, seed, angular, nesting)
     return ests
 
 
-def _paired_mc(domains, target, samples, seed, angular, bbox, nesting):
-    lo, hi = target.bbox() if bbox is None else bbox
+def _paired_mc(domains, target, samples, seed, angular, nesting):
+    lo, hi = target.bbox()
     nb = len(domains)
     small, big = slice(None, -1), slice(1, None)  # of each neighbouring pair
     if nesting == "decreasing":
@@ -499,16 +496,11 @@ def _paired_mc(domains, target, samples, seed, angular, bbox, nesting):
     )
 
 
-def monotonicity_probe(domain_small, domain_big, target, samples, seed, angular=256):
+def monotonicity_probe(domain_small, domain_big, target, samples, seed):
     """(estimate in the bigger domain, estimate in the smaller domain) with
     shared samples; Hilbert volumes shrink as the domain grows."""
     est_small, est_big = paired_volumes(
-        [domain_small, domain_big],
-        target,
-        samples,
-        seed,
-        angular,
-        nesting="increasing",
+        [domain_small, domain_big], target, samples, seed, nesting="increasing"
     )
     return est_big, est_small
 
@@ -620,11 +612,10 @@ def fundamental_target(P: CoxeterPolytope, chart: Chart):
     return HalfspaceBody(A, b, vertices=chart.to_chart([f.witness for f in vertices]))
 
 
-def conic_body(P: CoxeterPolytope, chart: Chart, G=None):
+def conic_body(P: CoxeterPolytope, chart: Chart):
     """The invariant-form conic as a chart body (exact boundary of the
     invariant domain for the triangle-group cases)."""
-    if G is None:
-        G = invariant_form(P)
+    G = invariant_form(P)
     if G is None:
         raise GeometryError("polytope has no invariant form")
     Gf = np.asarray(G, dtype=float)
@@ -673,9 +664,7 @@ def volume_sequence(P, depths, samples, seed, side="inner", angular=256):
         else:
             raise InputError(f"unknown side {side!r}")
     nesting = "increasing" if side == "inner" else "decreasing"
-    ests, diffs, dstd = _paired_mc(
-        bodies, target, samples, seed, angular, None, nesting
-    )
+    ests, diffs, dstd = _paired_mc(bodies, target, samples, seed, angular, nesting)
     ests = [replace(e, depth=N) for e, N in zip(ests, depths)]
     return VolumeSequence(
         side, tuple(depths), tuple(ests), tuple(diffs), tuple(dstd)

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ratlin
-from .cartan import NEGATIVE, classify_type, irreducible_components
+from .cartan import NEGATIVE, irreducible_components
 from .hilbert import GeometryError, HalfspaceBody, _keyed_streams, polygon_body
 from .orbits import generators, supporting_covector
 from .polytope import CoxeterPolytope, _extreme_rays, vertex_faces
@@ -36,7 +36,7 @@ class ProximalWitness:
     """A group element whose top eigenvalue modulus is simple and real.
 
     `modulus` is that top modulus, `gap` the ratio to the second-largest
-    modulus (> 1 + eps_gap by construction), and `point` a unit vector
+    modulus (> 1 + EPS_GAP by construction), and `point` a unit vector
     spanning the attracting eigendirection."""
 
     word: tuple
@@ -81,16 +81,16 @@ class Truncation:
     mode: str
 
 
-def detect_proximal(matrix, word=(), eps_gap=EPS_GAP):
+def detect_proximal(matrix, word=()):
     """Return a ProximalWitness for `matrix`, or None.
 
     The test is on the eigenvalue moduli: the top one must be simple, real,
-    and beat the runner-up by a relative factor > 1 + eps_gap.  Near-ties
+    and beat the runner-up by a relative factor > 1 + EPS_GAP.  Near-ties
     inside the margin are reported as non-proximal with a warning because
     the attracting direction would not be trustworthy."""
 
     m = np.asarray(matrix, dtype=float)
-    return _proximal_witnesses(m[None], [word], eps_gap)[0]
+    return _proximal_witnesses(m[None], [word], EPS_GAP)[0]
 
 
 def _dots(a, b):
@@ -170,8 +170,7 @@ def _word_products(gens, words):
     return mats
 
 
-def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0,
-                     eps_gap=EPS_GAP):
+def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0):
     """Sample attracting fixed points of random group elements.
 
     Draws `count` random reduced words (geometric length distribution capped
@@ -185,8 +184,7 @@ def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0,
         raise InputError(
             f"need word_length >= 1 and count >= 0 (got {word_length}, {count})"
         )
-    tag = classify_type(P.cartan)
-    if tag.overall != NEGATIVE:
+    if P.type_tag.overall != NEGATIVE:
         raise InputError("limit-set sampling needs a negative-type Cartan matrix")
     if P.n < 2:
         raise InputError("need at least two generators to form proximal words")
@@ -211,7 +209,7 @@ def sample_limit_set(P: CoxeterPolytope, word_length=12, count=200, seed=0,
             step = int(rng.integers(P.n - 1))
             word.append(step if step < word[-1] else step + 1)
         words.append(word)
-    wits = _proximal_witnesses(_word_products(gens, words), words, eps_gap)
+    wits = _proximal_witnesses(_word_products(gens, words), words, EPS_GAP)
     hits = [(word, wit) for word, wit in zip(words, wits) if wit is not None]
     # every hit's chart point and its distance to the polars' span, at once
     v = np.asarray([wit.point for _, wit in hits]).reshape(len(hits), len(ell))
@@ -275,8 +273,7 @@ def omega_min_seed(P: CoxeterPolytope):
     negative-type system whose polars span the whole space; computed in the
     arithmetic of P (exact for rational input)."""
 
-    tag = classify_type(P.cartan)
-    if tag.overall != NEGATIVE:
+    if P.type_tag.overall != NEGATIVE:
         raise InputError("the minimal invariant domain needs negative type")
     if len(irreducible_components(P.cartan)) != 1:
         raise InputError("the minimal invariant domain needs an irreducible system")

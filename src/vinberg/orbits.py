@@ -20,7 +20,7 @@ from itertools import repeat
 from operator import mul
 
 from . import ratlin
-from .cartan import NEGATIVE, irreducible_components, witness_vector
+from .cartan import irreducible_components
 from .polytope import CoxeterPolytope, vertex_faces
 from .scalars import InputError, coerce
 
@@ -86,12 +86,11 @@ class RelationCheck:
     residual: float
 
 
-def check_relations(P: CoxeterPolytope, tol=None):
+def check_relations(P: CoxeterPolytope):
     """Verify sigma_s^2 = Id and (sigma_s sigma_t)^{m_st} = Id for finite
     orders.  Exact mode compares matrices exactly; approx mode reports the
-    max-norm residual against `tol` (default: the polytope's eps)."""
-    if tol is None:
-        tol = P.field.tol * 100
+    max-norm residual against 100 times the polytope's eps."""
+    tol = P.field.tol * 100
     gens = generators(P)
     ident = P.field.identity(P.dim + 1)
     out = []
@@ -266,35 +265,40 @@ def invariant_form(P: CoxeterPolytope):
     """Symmetric bilinear form G with sigma_s^T G sigma_s = G for all s,
     normalized so the first nonzero entry is positive, or None.
 
-    The compatibility constraints are G v_s = a_s^T for every facet (after
-    scaling each a_s so a_s(v_s) = 2, as validated at build time); for a
-    simplex with symmetric Cartan matrix the solution is alphas^T . V^{-1}.
+    The compatibility constraints are G v_s = c_s a_s^T for every facet, with
+    c_s > 0 (each a_s scaled so a_s(v_s) = 2, as validated at build time).
+    Symmetry of G forces c_s A_st = c_t A_ts, so c is 1 at the first facet
+    of each component and spreads along its edges; the solve rejects the
+    cycles that are not symmetrizable.  For a symmetric Cartan matrix every
+    c_s is 1, and on a simplex the solution is alphas^T . V^{-1}.
     """
     dim = P.dim + 1
-    # Unknown symmetric G, entries g_ij (i <= j); constraints G v_s = a_s^T.
-    idx = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            idx[(i, j)] = len(idx)
+    A = P.cartan.entries
+    c = {}
+    for comp in irreducible_components(P.cartan):
+        c[comp[0]] = 1
+        stack = [comp[0]]
+        while stack:
+            s = stack.pop()
+            for t in comp:
+                if t not in c and P.field.sign(A[s][t]) != 0:
+                    c[t] = c[s] * A[s][t] / A[t][s]
+                    stack.append(t)
+    # Unknown symmetric G, entries g_ij (i <= j); constraints G v_s = c_s a_s^T.
+    idx = {p: k for k, p in enumerate((i, j) for i in range(dim) for j in range(i, dim))}
     rows = []
     rhs = []
     for s in range(P.n):
-        v = P.polars[s]
-        a = P.alphas[s]
         for i in range(dim):
             row = [P.field.zero] * len(idx)
-            for j in range(dim):
-                key = (i, j) if i <= j else (j, i)
-                row[idx[key]] += v[j]
+            for j, vj in enumerate(P.polars[s]):
+                row[idx[min(i, j), max(i, j)]] += vj
             rows.append(row)
-            rhs.append(a[i])
+            rhs.append(c[s] * P.alphas[s][i])
     sol = P.field.solve(rows, rhs)
     if sol is None:
         return None
-    G = [[None] * dim for _ in range(dim)]
-    for (i, j), k in idx.items():
-        G[i][j] = sol[k]
-        G[j][i] = sol[k]
+    G = [[sol[idx[min(i, j), max(i, j)]] for j in range(dim)] for i in range(dim)]
     if all(abs(float(x)) == 0 for row in G for x in row):
         return None
     # Normalize the overall sign: prefer more positive than negative
@@ -374,29 +378,13 @@ class DomainApprox:
 
 
 def supporting_covector(P: CoxeterPolytope):
-    """A covector ell0 = sum mu_s a_s with mu > 0 and mu^T A < 0.
+    """(ell0, mu): a covector ell0 = sum mu_s a_s with mu > 0 and
+    mu^T A < 0, derived once per polytope (`CoxeterPolytope.supporting_covector`).
 
     Exists precisely in negative type (mu is a positivity witness of A^T);
     by duality its orbit under the group stays in the dual cone, so each
     ell0 . gamma is <= 0 on every tile."""
-    At = [[P.cartan.entries[t][s] for t in range(P.n)] for s in range(P.n)]
-    from .cartan import CartanMatrix, classify_type
-
-    AT = CartanMatrix(
-        tuple(tuple(row) for row in At),
-        P.cartan.orders,
-        P.cartan.mode,
-        P.cartan.eps,
-        P.cartan.labels,
-    )
-    tt = classify_type(AT)
-    if tt.overall != NEGATIVE:
-        raise InputError(
-            "a strictly supporting covector needs negative type "
-            f"(got {tt.overall})"
-        )
-    mu = witness_vector(AT, tt).x
-    return tuple(ratlin.mat_mul([mu], P.alphas)[0]), tuple(mu)
+    return P.supporting_covector
 
 
 def _cone_vertices(P: CoxeterPolytope):
@@ -419,14 +407,14 @@ def _cone_vertices(P: CoxeterPolytope):
     return tuple(verts)
 
 
-def domain_approx(P: CoxeterPolytope, depth: int, max_elements=DEFAULT_MAX_ELEMENTS):
+def domain_approx(P: CoxeterPolytope, depth: int):
     """Orbit tiling at the given depth together with pushed covectors.
 
     Each returned tile is the image of the fundamental cone's vertex rays;
     the covector ell0 . gamma^{-1} supports the image tile, and the whole
     family outer-approximates the invariant domain.  As a runtime guard every
     covector is checked nonpositive on every tile ray."""
-    ball = expand_orbit(P, depth, max_elements)
+    ball = expand_orbit(P, depth)
     ell0, _ = supporting_covector(P)
     base = _cone_vertices(P)
     import numpy as np
@@ -483,11 +471,11 @@ def representation_report(P: CoxeterPolytope) -> RepresentationReport:
     return RepresentationReport(reduced, dual_reduced, len(comps) == 1, cr, irreducible)
 
 
-def check_properness(P: CoxeterPolytope, depth=6, max_elements=DEFAULT_MAX_ELEMENTS):
+def check_properness(P: CoxeterPolytope):
     """(flag, worst): the supporting covector must be strictly negative on
-    every orbit image of the interior point; `worst` is the max value seen
-    (properness evidence when < 0)."""
-    ball = expand_orbit(P, depth, max_elements)
+    every orbit image of the interior point of the ball of radius 6; `worst`
+    is the max value seen (properness evidence when < 0)."""
+    ball = expand_orbit(P, 6)
     ell0, _ = supporting_covector(P)
     worst = -math.inf
     for g in ball.elements:

@@ -12,16 +12,18 @@ A subset S' of facets defines a face exactly when the system
 
 has a solution: exactly when the facet sets of the extreme rays of D through
 S' intersect to S', and the sum of those rays is then a solution.  The rays
-are computed once per polytope; the face lattice (their facet sets'
-intersection closure) and the link types are memoised on it.  The LP
-`face_witness` (exact rational simplex, float pivots in approx mode) is the
-standalone cross-check.
+are computed once per polytope, and every invariant derived from them or
+from the Cartan matrix is derived once and memoised on it: the face lattice
+(their facet sets' intersection closure, graded by height, so a face's
+dimension needs no rank), the link types, the overall type and the
+supporting covector.  The LP `face_witness` (exact rational simplex, float
+pivots in approx mode) is the standalone cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -36,6 +38,7 @@ from .cartan import (
     irreducible_components,
     restrict,
     validate_cartan,
+    witness_vector,
 )
 from .linprog import OPTIMAL, maximize_with_free_vars
 from .scalars import DEFAULT_EPS, Field, InputError, coerce
@@ -74,17 +77,48 @@ class CoxeterPolytope:
     @cached_property
     def face_table(self):
         """The face lattice, computed once as the intersections of the rays'
-        facet sets: every proper face plus the interior, ordered by (size,
-        lex), and the empty face (the empty intersection) when d = 0.  Read
-        it through `enumerate_faces`, which guards the facet count."""
+        facet sets: {sorted facet subset: FaceDescriptor} for every face, the
+        interior and the empty face included, in (size, lex) order.
+
+        A face's dimension is its height in the lattice (which is graded):
+        -1 for the empty face (every facet), otherwise one more than its
+        highest proper subface, so the vertices come out at 0."""
         everything = frozenset(range(self.n))
         closed = {everything}
         for _, facets in self.rays:
             closed |= {facets & c for c in closed}
-        if self.dim > 0:
-            closed.discard(everything)
-        subsets = sorted((tuple(sorted(c)) for c in closed), key=lambda t: (len(t), t))
-        return tuple(defines_face(self, subset) for subset in subsets)
+        faces = sorted(closed, key=lambda c: (len(c), sorted(c)))
+        dims = {}
+        for c in reversed(faces):  # every proper subface comes first
+            dims[c] = 1 + max((dims[t] for t in dims if c < t), default=-2)
+        table = {}
+        for c in faces:
+            subset = tuple(sorted(c))
+            witness, _ = _ray_face(self.rays, subset, self.n, self.field)
+            table[subset] = FaceDescriptor(subset, dims[c], witness, *_restriction(self, subset))
+        return table
+
+    @cached_property
+    def type_tag(self):
+        """Type of the whole Cartan matrix: its restriction to every facet."""
+        return _restriction(self, tuple(range(self.n)))[1]
+
+    @cached_property
+    def supporting_covector(self):
+        """(ell0, mu) with ell0 = sum mu_s a_s, mu > 0 and mu^T A < 0.
+
+        Exists precisely in negative type: mu is a positivity witness of
+        A^T, which has the components and block types of A (the same leading
+        principal minors), so it is typed by A's tag."""
+        tag = self.type_tag
+        if tag.overall != NEGATIVE:
+            raise InputError(
+                "a strictly supporting covector needs negative type "
+                f"(got {tag.overall})"
+            )
+        transposed = replace(self.cartan, entries=tuple(zip(*self.cartan.entries)))
+        mu = witness_vector(transposed, tag).x
+        return tuple(ratlin.mat_mul([mu], self.alphas)[0]), tuple(mu)
 
     @cached_property
     def _restrictions(self):
@@ -313,46 +347,46 @@ def _restriction(P: CoxeterPolytope, subset):
 def defines_face(P: CoxeterPolytope, subset) -> FaceDescriptor | None:
     """Face descriptor for the facet subset, or None if it defines no face.
 
-    The subset is a face exactly when the facet sets of the rays through it
-    intersect to it; the witness is the sum of those rays.  The empty set
-    describes the interior; the full set, through no ray, always describes
-    the empty face (dimension -1, no witness).
+    Read from the polytope's face table.  The empty set describes the
+    interior; the full set always describes the empty face (dimension -1,
+    no witness).
     """
     subset = tuple(sorted(set(subset)))
     for s in subset:
         if not 0 <= s < P.n:
             raise InputError(f"facet index {s} out of range")
-    witness, common = _ray_face(P.rays, subset, P.n, P.field)
-    if common != set(subset):
-        return None
-    r = P.field.rank([P.alphas[s] for s in subset])
-    return FaceDescriptor(subset, P.dim - r, witness, *_restriction(P, subset))
+    return P.face_table.get(subset)
 
 
 def enumerate_faces(P: CoxeterPolytope):
     """All proper faces plus the interior, ordered by (size, lex), as a new
     list read from the polytope's face table.
 
-    The empty face is implicit except in the degenerate d = 0 case, where it
+    The empty face is left out except in the degenerate d = 0 case, where it
     is the only other stratum and is reported for visibility.
     """
-    return list(P.face_table)
+    faces = list(P.face_table.values())
+    return faces if P.dim == 0 else faces[:-1]
 
 
 def vertex_faces(P: CoxeterPolytope):
     """Descriptors of the vertices (the faces of dimension 0)."""
-    return [f for f in enumerate_faces(P) if f.dim == 0 and f.subset]
+    return [f for f in P.face_table.values() if f.dim == 0 and f.subset]
 
 
 def classify_face(P: CoxeterPolytope, subset) -> FaceClass:
     """Elliptic / parabolic / loxodromic trichotomy of a face's link,
-    memoised per polytope."""
+    memoised per polytope.  Raises PolytopeError when `subset` defines no
+    face."""
     subset = tuple(sorted(set(subset)))
     fc = P._face_classes.get(subset)
     if fc is None:
-        link_cartan, tt = _restriction(P, subset)
-        link_dim = P.field.rank([P.alphas[s] for s in subset]) - 1
-        cr = P.field.rank(link_cartan.rows())
+        face = defines_face(P, subset)
+        if face is None:
+            raise PolytopeError(f"{subset} does not define a face")
+        tt = face.link_type
+        link_dim = P.dim - face.dim - 1
+        cr = P.field.rank(face.link_cartan.rows())
         parabolic = (cr == link_dim) if tt.overall == ZERO else None
         loxodromic = (cr == link_dim + 1) if tt.overall == NEGATIVE else None
         fc = P._face_classes[subset] = FaceClass(
@@ -407,8 +441,8 @@ def bigger_face(P: CoxeterPolytope, t1, t2):
     """Given disjoint T1, T2 with T1 orthogonal to T2 and T1 u T2 a face,
     return descriptors for T1 u T2^0, T1 u T2^0 u T2^+, T1 u T2^0 u T2^-.
 
-    These are guaranteed faces; the ray closure re-derives each witness, and
-    a failure is a hard error (it would falsify the lemma)."""
+    These are guaranteed faces; each is looked up in the face table, and a
+    miss is a hard error (it would falsify the lemma)."""
     t1 = tuple(sorted(set(t1)))
     t2 = tuple(sorted(set(t2)))
     if set(t1) & set(t2):

@@ -2,8 +2,9 @@
 
 Matrices are lists (or tuples) of rows of `fractions.Fraction`.  Sizes here
 are tiny (n <= 17), so plain Gaussian elimination with exact pivoting is the
-right tool; nothing below is performance critical except through the LP
-solver, which keeps its own tableau.
+right tool.  `rank` is on the verdict path (one per classified face, the
+Cartan rank of its link), and kernels serve the extreme rays; the LP solver
+keeps its own tableau.
 """
 
 from __future__ import annotations

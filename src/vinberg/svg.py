@@ -156,13 +156,11 @@ def conic_loop(P, chart, n=256):
     not a planar oval in this chart)."""
 
     from .hilbert import conic_body
-    from .orbits import invariant_form
 
-    G = invariant_form(P)
-    if G is None or P.dim != 2:
+    if P.dim != 2:
         return None
     try:
-        body = conic_body(P, chart, G)
+        body = conic_body(P, chart)
     except GeometryError:
         return None
     angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)

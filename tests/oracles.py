@@ -28,6 +28,10 @@ with the library's face machinery:
 * dual: maximize the sum of the off-subset coefficients of a vanishing
   combination sum_s X_s a_s = 0 with X_s in [0,1] off the subset and X_s
   free on it; the subset defines a face exactly when the optimum is 0.
+
+A face's dimension, which the library reads off as its height in the face
+lattice, is checked against the rank formula d - rank(a_s : s in subset)
+(`face_dim`).
 """
 
 from __future__ import annotations
@@ -125,6 +129,12 @@ def brute_face_subsets(P):
             if primal_face_feasible(P, subset):
                 out.append(subset)
     return out
+
+
+def face_dim(P, subset):
+    """Projective dimension of the face on `subset`: d minus the rank of its
+    covectors (-1 for the empty face, whose covectors span the dual)."""
+    return P.dim - P.field.rank([P.alphas[s] for s in subset])
 
 
 def det(m):

@@ -1,9 +1,11 @@
 """The face table: computed once per polytope from the extreme rays of its
-cone, with no LP; `face_witness` (the LP) is the standalone cross-check.
+cone, with no LP and no rank; `face_witness` (the LP) is the standalone
+cross-check, and the rank formula (`oracles.face_dim`) checks the
+dimensions.
 
-The LP and `classify_type` counts below are machine-independent performance
-gates: they fail when a change makes a scan solve an LP or type a matrix
-again, whatever the wall time.
+The LP, rank, `classify_type` and `witness_vector` counts below are
+machine-independent performance gates: they fail when a change makes a scan
+solve an LP, take a rank or type a matrix again, whatever the wall time.
 """
 
 import itertools
@@ -18,7 +20,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import corpus
 import oracles
-from vinberg import cartan, coxeter, decisions, polytope, ratlin
+from vinberg import (
+    cartan,
+    coxeter,
+    decisions,
+    hilbert,
+    limits,
+    orbits,
+    polytope,
+    ratlin,
+    scalars,
+)
 from vinberg.cartan import validate_cartan
 from vinberg.decisions import (
     NotNegativeType,
@@ -28,6 +40,7 @@ from vinberg.decisions import (
     decide_unique_domain,
 )
 from vinberg.polytope import (
+    PolytopeError,
     build_polytope,
     classify_face,
     defines_face,
@@ -57,6 +70,20 @@ def lp_count(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(polytope, "maximize_with_free_vars", counted)
+    return calls
+
+
+@pytest.fixture
+def rank_count(monkeypatch):
+    """Counts calls of `Field.rank`."""
+    calls = [0]
+    original = scalars.Field.rank
+
+    def counted(self, rows):
+        calls[0] += 1
+        return original(self, rows)
+
+    monkeypatch.setattr(scalars.Field, "rank", counted)
     return calls
 
 
@@ -159,7 +186,7 @@ def test_ray_lattice_agrees_with_the_lp_on_every_subset():
             values = ratlin.mat_vec(P.alphas, desc.witness)
             assert all(P.field.sign(v) == 0 for s, v in enumerate(values) if s in subset)
             assert all(P.field.sign(v) < 0 for s, v in enumerate(values) if s not in subset)
-            assert desc.dim == P.dim - P.field.rank([P.alphas[s] for s in subset])
+            assert desc.dim == oracles.face_dim(P, subset)
         assert faces == [f.subset for f in enumerate_faces(P)]
 
 
@@ -279,3 +306,81 @@ def test_single_facet_links():
         assert L.labels == (P.labels[s],)
         assert [f.dim for f in enumerate_faces(L)] == [0, -1]
     assert is_2perfect(corpus.build("seg")) == (True, ())
+
+
+def _lattice_polytopes():
+    """The corpus, the square, t601, Tits simplices of 20 random Cartan
+    matrices of rank 1-6 in both modes, and right-angled k-gons, k = 5-11,
+    all freshly built."""
+    rng = random.Random(12)
+    polys = [corpus._BUILDERS[name]() for name in sorted(corpus._BUILDERS)]
+    polys += [corpus.square.__wrapped__(), corpus.t601.__wrapped__()]
+    for _ in range(20):
+        rows = _random_cartan(rng, rng.randint(1, 6))
+        for mode in ("exact", "approx"):
+            polys.append(tits_polytope(validate_cartan(rows, mode=mode)))
+    polys += [_right_angled_polygon(k, rng) for k in range(5, 12)]
+    return polys
+
+
+def test_face_dimensions_are_lattice_heights():
+    polys = _lattice_polytopes()
+    assert {P.mode for P in polys} == {"exact", "approx"}
+    assert {P.n for P in polys} >= set(range(1, 7))
+    for P in polys:
+        table = P.face_table
+        assert list(table) == sorted(table, key=lambda t: (len(t), t))
+        assert table[tuple(range(P.n))].dim == -1  # the empty face
+        assert table[()].dim == P.dim
+        for subset, face in table.items():
+            assert face.subset == subset
+            assert face.dim == oracles.face_dim(P, subset)
+
+
+def test_face_table_takes_no_rank_and_classifying_one_per_face(rank_count):
+    polys = [corpus._BUILDERS[name]() for name in sorted(corpus._BUILDERS)]
+    polys += [corpus.square.__wrapped__(), _right_angled_polygon(7)]
+    for P in polys:
+        rank_count[0] = 0  # build_polytope's reducedness check
+        faces = enumerate_faces(P)
+        assert rank_count[0] == 0
+        proper = [face.subset for face in faces if face.subset]
+        for subset in proper:
+            classify_face(P, subset)
+            classify_face(P, subset)  # memoised
+        assert rank_count[0] == len(proper)
+
+
+def test_classify_face_takes_faces_only():
+    P = corpus.square()
+    assert defines_face(P, (0, 1)) is None  # opposite sides of the square
+    with pytest.raises(PolytopeError):
+        classify_face(P, (0, 1))
+
+
+@pytest.mark.filterwarnings("ignore:spectral gap")
+@pytest.mark.parametrize("name", ["tinf", "t237", "t6"])
+def test_supporting_covector_is_derived_once(name, monkeypatch):
+    witnesses, typed = [0], []
+    witness_vector, classify_type = cartan.witness_vector, cartan.classify_type
+
+    def counted_witness(*args, **kwargs):
+        witnesses[0] += 1
+        return witness_vector(*args, **kwargs)
+
+    def counted_type(A):
+        typed.append(A)
+        return classify_type(A)
+
+    for module in (cartan, polytope, coxeter, decisions, orbits, hilbert, limits):
+        monkeypatch.setattr(module, "witness_vector", counted_witness, raising=False)
+        monkeypatch.setattr(module, "classify_type", counted_type, raising=False)
+    P = corpus._BUILDERS[name]()
+    hilbert.witness_chart(P)
+    orbits.domain_approx(P, 4)
+    limits.sample_limit_set(P, word_length=8, count=50, seed=1)
+    assert witnesses[0] == 1
+    # every typed matrix is a principal restriction of A, typed once; the
+    # full one (the type tag) is the only n x n matrix, so A^T is never typed
+    assert len(typed) == len(P._restrictions)
+    assert [A.n for A in typed].count(P.n) == 1

@@ -168,6 +168,25 @@ def _approx_cartan_copy(P):
     return tits_polytope(validate_cartan(P.cartan.rows(), mode="approx"))
 
 
+# Symmetrizable but not symmetric: corpus r4a and r4b, and a triangle with
+# equal cycle products a12 a23 a31 = a21 a32 a13 = -4.
+_SYMMETRIZABLE_TRIANGLE = [[2, -1, -2], [-2, 2, -2], [-2, -1, 2]]
+
+
+@pytest.mark.parametrize("name", ["r4a", "r4b", "triangle"])
+def test_symmetrizable_entries_carry_a_form(name):
+    if name == "triangle":
+        P = tits_polytope(validate_cartan(_SYMMETRIZABLE_TRIANGLE, mode="exact"))
+    else:
+        P = corpus.build(name)
+    G = invariant_form(P)
+    assert G is not None and P.mode == "exact"
+    for g in generators(P):
+        assert _mat_mul(tuple(zip(*g)), _mat_mul(G, g)) == G
+    if name != "triangle":
+        assert form_signature(G) == (3, 1, 0)
+
+
 def test_non_symmetrizable_entries_carry_no_form():
     for name in ("t6", "t9"):
         assert invariant_form(corpus.build(name)) is None
